@@ -30,6 +30,7 @@
 #include "minic/Parser.h"
 #include "serve/GraphSnapshot.h"
 #include "serve/QueryEngine.h"
+#include "support/ByteStream.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/DenseU64Set.h"
 #include "support/Metrics.h"
@@ -684,8 +685,8 @@ ScalingResult measureBatchSuite(double Scale, unsigned Repeats,
 }
 
 /// Serve-layer measurement: snapshot save/load wall time against a fresh
-/// solve, and a mixed query batch (ls/pts/alias) through the QueryEngine
-/// on both paths. The acceptance point is load+queries beating fresh
+/// solve, and a mixed query batch (ls/pts/alias) through
+/// QueryEngine::answer() on both paths. The acceptance point is load+queries beating fresh
 /// solve+queries end to end with identical answers.
 struct ServeResult {
   double SaveSeconds = 0;      ///< serialize(), best of N.
@@ -696,7 +697,6 @@ struct ServeResult {
   double FreshPathSeconds = 0; ///< fresh solve + the same queries.
   uint64_t P50Micros = 0;      ///< Per-query latency on the load path.
   uint64_t P99Micros = 0;
-  double HitRate = 0;          ///< Cache hits / queries on the load path.
   uint64_t Checksum = 0;       ///< Folded query answers, load path.
   uint64_t BaselineChecksum = 0; ///< Same, fresh path.
   unsigned NumQueries = 0;
@@ -716,8 +716,8 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   ServeResult Out;
   Out.NumQueries = 1000;
 
-  // The query script: a deterministic ls/pts/alias mix with enough repeat
-  // touches that the LRU cache matters (clients hammer hot variables).
+  // The query script: a deterministic ls/pts/alias mix with repeat
+  // touches (clients hammer hot variables).
   PRNG QueryRng(404);
   struct Query {
     uint8_t Kind; // 0 = ls, 1 = pts, 2 = alias
@@ -735,18 +735,17 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   }
   auto runQueries = [&](serve::QueryEngine &Engine,
                         std::vector<uint64_t> *Latencies) {
-    uint64_t Checksum = 0;
+    static const char *const Verbs[] = {"ls", "pts", "alias"};
+    uint64_t Checksum = 14695981039346656037ULL;
     for (const Query &Q : Queries) {
       Timer T;
-      VarId A = Engine.varOf("X" + std::to_string(Q.A));
-      if (Q.Kind == 2) {
-        VarId B = Engine.varOf("X" + std::to_string(Q.B));
-        Checksum = Checksum * 31 + (Engine.alias(A, B) ? 1 : 0);
-      } else if (Q.Kind == 1) {
-        Checksum = Checksum * 31 + Engine.pts(A).size();
-      } else {
-        Checksum = Checksum * 31 + Engine.ls(A).size();
-      }
+      serve::Request Req;
+      Req.Verb = Verbs[Q.Kind];
+      Req.Arg1 = "X" + std::to_string(Q.A);
+      Req.Arg2 = "X" + std::to_string(Q.B);
+      std::string Reply = Engine.answer(Req);
+      Checksum = fnv1a64(reinterpret_cast<const uint8_t *>(Reply.data()),
+                         Reply.size(), Checksum);
       if (Latencies)
         Latencies->push_back(
             static_cast<uint64_t>(T.seconds() * 1e6));
@@ -790,7 +789,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   });
 
   std::vector<uint64_t> Latencies;
-  double HitRate = 0;
   Out.LoadPathSeconds = bestOfN(Repeats, [&] {
     serve::SolverBundle Bundle;
     Status St =
@@ -804,10 +802,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
     serve::QueryEngine Engine(std::move(Bundle));
     Latencies.clear();
     Out.Checksum = runQueries(Engine, &Latencies);
-    HitRate = Engine.counters().Queries
-                  ? static_cast<double>(Engine.counters().CacheHits) /
-                        static_cast<double>(Engine.counters().Queries)
-                  : 0;
   });
   Out.FreshPathSeconds = bestOfN(Repeats, [&] {
     serve::SolverBundle Fresh;
@@ -821,12 +815,8 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   });
 
   std::sort(Latencies.begin(), Latencies.end());
-  if (!Latencies.empty()) {
-    Out.P50Micros = Latencies[Latencies.size() / 2];
-    Out.P99Micros = Latencies[std::min(Latencies.size() - 1,
-                                       Latencies.size() * 99 / 100)];
-  }
-  Out.HitRate = HitRate;
+  Out.P50Micros = exactPercentile(Latencies, 0.50);
+  Out.P99Micros = exactPercentile(Latencies, 0.99);
   return Out;
 }
 
@@ -1415,25 +1405,23 @@ int emitTrajectory(const std::string &Path) {
         "\"queries\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
         "\"speedup\": %.2f,\n"
-        "     \"p50_us\": %llu, \"p99_us\": %llu, \"hit_rate\": %.3f,\n"
+        "     \"p50_us\": %llu, \"p99_us\": %llu,\n"
         "     \"checksum\": %llu, \"checksum_match\": %s}",
         R.SaveSeconds, (unsigned long long)R.SnapshotBytes, R.LoadSeconds,
         R.FreshSeconds, LoadSpeedup, R.NumQueries, R.LoadPathSeconds,
         R.FreshPathSeconds, PathSpeedup, (unsigned long long)R.P50Micros,
-        (unsigned long long)R.P99Micros, R.HitRate,
-        (unsigned long long)R.Checksum,
+        (unsigned long long)R.P99Micros, (unsigned long long)R.Checksum,
         R.Checksum == R.BaselineChecksum ? "true" : "false");
     std::printf("%-14s wall=%.3fs bytes=%llu\n", "snapshot_save",
                 R.SaveSeconds, (unsigned long long)R.SnapshotBytes);
     std::printf("%-14s wall=%.3fs baseline=%.3fs speedup=%.2fx\n",
                 "snapshot_load", R.LoadSeconds, R.FreshSeconds, LoadSpeedup);
     std::printf("%-14s queries=%-4u wall=%.3fs baseline=%.3fs "
-                "speedup=%.2fx p50=%lluus p99=%lluus hit_rate=%.2f "
-                "checksum_match=%s\n",
+                "speedup=%.2fx p50=%lluus p99=%lluus checksum_match=%s\n",
                 "query_engine", R.NumQueries, R.LoadPathSeconds,
                 R.FreshPathSeconds, PathSpeedup,
                 (unsigned long long)R.P50Micros,
-                (unsigned long long)R.P99Micros, R.HitRate,
+                (unsigned long long)R.P99Micros,
                 R.Checksum == R.BaselineChecksum ? "yes" : "NO");
     if (R.Checksum != R.BaselineChecksum) {
       std::fprintf(stderr, "error: query_engine: snapshot-path answers "

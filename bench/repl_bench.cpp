@@ -182,8 +182,7 @@ int main(int Argc, char **Argv) {
   serve::ServerCoreConfig PrimConfig;
   PrimConfig.SnapshotPath = PrimSnap;
   PrimConfig.WalPath = PrimWal;
-  serve::ServerCore Prim(std::move(PrimBundle), /*CacheCapacity=*/512,
-                         PrimConfig);
+  serve::ServerCore Prim(std::move(PrimBundle), PrimConfig);
   if (!Prim.valid()) {
     std::fprintf(stderr, "repl_bench: %s\n", Prim.initError().c_str());
     return 1;
@@ -288,8 +287,7 @@ int main(int Argc, char **Argv) {
   serve::ServerCoreConfig FolConfig;
   FolConfig.SnapshotPath = FolSnap;
   FolConfig.WalPath = FolWal;
-  serve::ServerCore Fol(std::move(FolBundle), /*CacheCapacity=*/512,
-                        FolConfig);
+  serve::ServerCore Fol(std::move(FolBundle), FolConfig);
   if (!Fol.valid()) {
     std::fprintf(stderr, "repl_bench: %s\n", Fol.initError().c_str());
     return 1;
@@ -360,11 +358,7 @@ int main(int Argc, char **Argv) {
   for (uint32_t V = 0; V < Vars; V += SampleStep) {
     std::string Name = "v" + std::to_string(V);
     std::string Served = mustAsk(FolCheck, "ls " + Name);
-    uint32_t Var = Fresh.varOf(Name);
-    std::string Local =
-        Var == serve::QueryEngine::NotFound
-            ? std::string("err")
-            : "ok " + serve::render::renderSet(Fresh.ls(Var));
+    std::string Local = Fresh.answer(serve::parseRequest("ls " + Name));
     ServedSum = fnv1a(ServedSum, Served);
     FreshSum = fnv1a(FreshSum, Local);
   }

@@ -125,13 +125,6 @@ std::string timedAsk(net::LineClient &Client, const std::string &Line,
   return Reply;
 }
 
-uint64_t percentile(const std::vector<uint64_t> &Sorted, double P) {
-  if (Sorted.empty())
-    return 0;
-  size_t Rank = static_cast<size_t>(P * static_cast<double>(Sorted.size()));
-  return Sorted[std::min(Rank, Sorted.size() - 1)];
-}
-
 uint64_t fnv1a(uint64_t Hash, const std::string &Text) {
   for (unsigned char C : Text) {
     Hash ^= C;
@@ -183,7 +176,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  serve::ServerCore Core(std::move(Bundle), /*CacheCapacity=*/512, {});
+  serve::ServerCore Core(std::move(Bundle), {});
   if (!Core.valid()) {
     std::fprintf(stderr, "serve_bench: %s\n", Core.initError().c_str());
     return 1;
@@ -305,11 +298,7 @@ int main(int Argc, char **Argv) {
   for (uint32_t V = 0; V < Vars; V += SampleStep) {
     std::string Name = "v" + std::to_string(V);
     std::string Served = timedAsk(Checker, "ls " + Name, nullptr);
-    uint32_t Var = Fresh.varOf(Name);
-    std::string Local =
-        Var == serve::QueryEngine::NotFound
-            ? std::string("err")
-            : "ok " + serve::render::renderSet(Fresh.ls(Var));
+    std::string Local = Fresh.answer(serve::parseRequest("ls " + Name));
     ServedSum = fnv1a(ServedSum, Served);
     FreshSum = fnv1a(FreshSum, Local);
   }
@@ -342,12 +331,12 @@ int main(int Argc, char **Argv) {
   std::printf("read queries:  %llu in %.3fs (%.0f req/s)\n",
               (unsigned long long)TotalQueries, WallSeconds, Qps);
   std::printf("read latency:  p50=%lluus p99=%lluus p999=%lluus\n",
-              (unsigned long long)percentile(All, 0.50),
-              (unsigned long long)percentile(All, 0.99),
-              (unsigned long long)percentile(All, 0.999));
+              (unsigned long long)exactPercentile(All, 0.50),
+              (unsigned long long)exactPercentile(All, 0.99),
+              (unsigned long long)exactPercentile(All, 0.999));
   std::printf("write latency: p50=%lluus p99=%lluus (%u adds)\n",
-              (unsigned long long)percentile(WriterLat, 0.50),
-              (unsigned long long)percentile(WriterLat, 0.99), Adds * 2);
+              (unsigned long long)exactPercentile(WriterLat, 0.50),
+              (unsigned long long)exactPercentile(WriterLat, 0.99), Adds * 2);
   std::printf("reads while a writer batch was in flight: %llu; view "
               "publishes: %llu\n",
               (unsigned long long)ReadsDuringAdd,
@@ -385,10 +374,10 @@ int main(int Argc, char **Argv) {
         "   ]}\n  ]\n}\n",
         bench::utcTimestamp().c_str(), Lanes, Readers, Scale, Vars, Cons,
         (unsigned long long)TotalQueries, Adds * 2, WallSeconds, Qps,
-        (unsigned long long)percentile(All, 0.50),
-        (unsigned long long)percentile(All, 0.99),
-        (unsigned long long)percentile(All, 0.999),
-        (unsigned long long)percentile(WriterLat, 0.99),
+        (unsigned long long)exactPercentile(All, 0.50),
+        (unsigned long long)exactPercentile(All, 0.99),
+        (unsigned long long)exactPercentile(All, 0.999),
+        (unsigned long long)exactPercentile(WriterLat, 0.99),
         (unsigned long long)ReadsDuringAdd, (unsigned long long)Publishes,
         ChecksumMatch ? "true" : "false");
     std::fclose(File);

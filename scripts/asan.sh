@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds the serve subsystem under AddressSanitizer and runs the
-# snapshot, query-engine, WAL, and fault-injection tests plus the
+# snapshot, query-engine, read-path, WAL, and fault-injection tests plus the
 # scserved end-to-end smoke and crash-recovery scripts.
 #
 # The snapshot loader and the WAL replayer consume untrusted bytes, so
@@ -16,10 +16,10 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-asan
 cmake -B "$BUILD_DIR" -S . -DPOCE_SANITIZE=address
-cmake --build "$BUILD_DIR" -j --target serve_tests core_tests scserved \
-  scsolve scnetcat
+cmake --build "$BUILD_DIR" -j --target serve_tests core_tests net_tests \
+  scserved scsolve scnetcat
 (cd "$BUILD_DIR" && ctest --output-on-failure \
-  -R '(Snapshot|QueryEngine|LruCache|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry)' \
+  -R '(Snapshot|QueryEngine|Render|ReadView|CountersReport|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry)' \
   "$@")
 scripts/serve_smoke.sh "$BUILD_DIR"
 # The socket layer parses untrusted network bytes (framing, size limits)

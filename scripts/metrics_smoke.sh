@@ -2,7 +2,7 @@
 # End-to-end smoke test of the observability layer: start scserved with
 # --metrics-out and POCE_TRACE armed, exercise queries/adds/checkpoints,
 # then check (1) the `metrics` verb emits Prometheus series for every
-# layer (solver, cache, WAL, latency histogram) framed by "# EOF",
+# layer (solver, query count, WAL, latency histogram) framed by "# EOF",
 # (2) the JSON metrics dump landed and parses structurally, and (3) the
 # Chrome trace file holds the expected spans.
 #
@@ -57,11 +57,10 @@ check "$WORK/s1.out" \
   "ok metrics" \
   "# TYPE poce_solver_work gauge" \
   "poce_solver_cycles_collapsed" \
-  "# TYPE poce_query_latency_us histogram" \
-  "poce_query_latency_us_bucket{le=\"+Inf\"}" \
-  "poce_query_latency_us_count" \
-  "poce_query_requests_total" \
-  "poce_query_cache_misses_total" \
+  "# TYPE poce_net_query_latency_us histogram" \
+  "poce_net_query_latency_us_bucket{le=\"+Inf\"}" \
+  "poce_net_query_latency_us_count" \
+  "poce_net_queries_total 3" \
   "# TYPE poce_wal_append_us histogram" \
   "poce_wal_append_us_count" \
   "poce_checkpoint_us_count" \
@@ -69,7 +68,7 @@ check "$WORK/s1.out" \
   "# EOF"
 
 # The latency histogram must have counted the three queries.
-LAT_COUNT=$(grep "^poce_query_latency_us_count" "$WORK/s1.out" | awk '{print $2}')
+LAT_COUNT=$(grep "^poce_net_query_latency_us_count" "$WORK/s1.out" | awk '{print $2}')
 [ "$LAT_COUNT" -ge 3 ] || {
   echo "FAIL: expected >=3 latency samples, got '$LAT_COUNT'" >&2
   exit 1
@@ -78,7 +77,7 @@ LAT_COUNT=$(grep "^poce_query_latency_us_count" "$WORK/s1.out" | awk '{print $2}
 # (2) The JSON dump landed with all three sections.
 [ -s "$DUMP" ] || { echo "FAIL: --metrics-out dump missing" >&2; exit 1; }
 check "$DUMP" '"counters"' '"gauges"' '"histograms"' \
-  '"poce_query_latency_us"' '"p50"' '"p99"'
+  '"poce_net_query_latency_us"' '"p50"' '"p99"'
 
 # (3) POCE_TRACE produces Chrome trace-event JSON with serve spans.
 POCE_TRACE="$TRACE" "$SCSERVED" --snapshot="$SNAP" > "$WORK/s2.out" << EOF

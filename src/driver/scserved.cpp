@@ -19,10 +19,13 @@
 /// The writer pipeline (WAL recovery, append-before-apply, budget
 /// rollback, atomic checkpoints, degraded mode) lives in
 /// serve/ServerCore and is shared verbatim between the stdin loop and
-/// the socket front end (net/Server.h). In socket mode, reads execute
-/// concurrently on a thread-pool wave against an immutable published
-/// ReadView while a single writer lane owns the core — queries never
-/// block on adds; see net/Server.h for the full concurrency story.
+/// the socket front end (net/Server.h). So is the read path: both front
+/// ends answer ls/pts/alias with serve::answerQuery(). In socket mode,
+/// reads execute concurrently on a thread-pool wave against an immutable
+/// published ReadView while a single writer lane owns the core — queries
+/// never block on adds; see net/Server.h for the full concurrency story.
+/// The stdin loop reads the writer's own solver, settled once after each
+/// mutation.
 ///
 /// Fault tolerance (see INTERNALS.md for the recovery invariant):
 ///   - With --wal, every accepted `add` line is validated (dry-run parse)
@@ -57,7 +60,7 @@
 ///   save PATH     snapshot the current graph (atomic write)
 ///   checkpoint [PATH]  snapshot + reset the WAL (default: --snapshot path)
 ///   stats         solver statistics + fault-tolerance counters
-///   counters      query latency percentiles and cache counters
+///   counters      query count and latency percentiles
 ///   metrics       Prometheus text exposition (multi-line, ends "# EOF")
 ///   verify        canonical answer checksum (replica consistency check)
 ///   shutdown      graceful drain and exit 0
@@ -183,7 +186,6 @@ int main(int Argc, char **Argv) {
   std::string Preprocess = "none";
   int64_t Seed = 0x706f6365;
   int64_t Threads = 1;
-  int64_t CacheCapacity = 256;
   int64_t DeadlineMs = 0;
   int64_t EdgeBudget = 0;
   int64_t MaxMemMb = 0;
@@ -220,7 +222,6 @@ int main(int Argc, char **Argv) {
   Cmd.addInt("threads", &Threads,
              "lanes for least-solution materialization on load "
              "(0 = hardware); results identical for any value");
-  Cmd.addInt("cache", &CacheCapacity, "materialized-view LRU capacity");
   Cmd.addInt("deadline-ms", &DeadlineMs,
              "per-add closure deadline in ms (0 = unlimited)");
   Cmd.addInt("edge-budget", &EdgeBudget,
@@ -400,8 +401,7 @@ int main(int Argc, char **Argv) {
   CoreConfig.DeadlineMs = static_cast<uint64_t>(DeadlineMs);
   CoreConfig.EdgeBudget = static_cast<uint64_t>(EdgeBudget);
   CoreConfig.MaxMemBytes = static_cast<uint64_t>(MaxMemMb) * 1024 * 1024;
-  ServerCore Core(std::move(Bundle), static_cast<size_t>(CacheCapacity),
-                  CoreConfig);
+  ServerCore Core(std::move(Bundle), CoreConfig);
   if (!Core.valid()) {
     std::fprintf(stderr, "scserved: %s\n", Core.initError().c_str());
     return 1;
@@ -499,13 +499,6 @@ int main(int Argc, char **Argv) {
     std::fflush(stdout);
   };
   auto ReplyErr = [&Reply](const Status &St) { Reply("err " + St.wire()); };
-  auto ResolveVar = [&](const std::string &Name, VarId &Out) {
-    uint32_t Var = Engine.varOf(Name);
-    if (Var == QueryEngine::NotFound)
-      return false;
-    Out = Var;
-    return true;
-  };
 
   // Returns false when the loop should stop (quit or shutdown).
   auto HandleLine = [&](const std::string &Line) -> bool {
@@ -528,27 +521,10 @@ int main(int Argc, char **Argv) {
             "counters | metrics | verify | shutdown | help | quit");
       return true;
     }
-    if (Req.Verb == "ls" || Req.Verb == "pts" || Req.Verb == "alias") {
+    if (isQueryVerb(Req.Verb)) {
       const uint64_t StartUs = trace::nowMicros();
-      std::string Response;
-      VarId X = 0, Y = 0;
-      if (!ResolveVar(Req.Arg1, X)) {
-        ReplyErr(Status::error(ErrorCode::NotFound,
-                               "unknown variable '" + Req.Arg1 + "'"));
-        return true;
-      }
-      if (Req.Verb == "alias") {
-        if (!ResolveVar(Req.Arg2, Y)) {
-          ReplyErr(Status::error(ErrorCode::NotFound,
-                                 "unknown variable '" + Req.Arg2 + "'"));
-          return true;
-        }
-        Response = Engine.alias(X, Y) ? "ok true" : "ok false";
-      } else if (Req.Verb == "ls") {
-        Response = "ok " + render::renderSet(Engine.ls(X));
-      } else {
-        Response = "ok " + render::renderSet(Engine.pts(X));
-      }
+      std::string Response = Engine.answer(Req);
+      telemetry::queriesCounter().inc();
       telemetry::queryLatencyHistogram().record(trace::nowMicros() -
                                                 StartUs);
       trace::complete("serve.query", StartUs);

@@ -6,8 +6,6 @@
 
 #include "net/ReadView.h"
 
-#include "serve/QueryEngine.h"
-
 #include <cassert>
 
 using namespace poce;
@@ -32,30 +30,4 @@ ReadView::build(const std::vector<uint8_t> &SnapshotBytes, uint64_t Epoch) {
       SnapshotBytes.data(), SnapshotBytes.size());
   View->Epoch = Epoch;
   return std::shared_ptr<const ReadView>(std::move(View));
-}
-
-uint32_t ReadView::varOf(const std::string &Name) const {
-  uint32_t Index = System.varIndex(Name);
-  if (Index == ConstraintSystemFile::NotFound ||
-      Index >= Bundle.Solver->numCreations())
-    return NotFound;
-  return Bundle.Solver->varOfCreation(Index);
-}
-
-std::string ReadView::ls(uint32_t Var) const {
-  const ConstraintSolver &Solver = *Bundle.Solver;
-  VarId Rep = Solver.repConst(Var);
-  return "ok " + serve::render::renderSet(serve::render::lsItems(
-                     Solver, Solver.leastSolutionViewConst(Rep)));
-}
-
-std::string ReadView::pts(uint32_t Var) const {
-  const ConstraintSolver &Solver = *Bundle.Solver;
-  VarId Rep = Solver.repConst(Var);
-  return "ok " + serve::render::renderSet(serve::render::ptsItems(
-                     Solver, Solver.leastSolutionViewConst(Rep)));
-}
-
-std::string ReadView::alias(uint32_t X, uint32_t Y) const {
-  return Bundle.Solver->aliasConst(X, Y) ? "ok true" : "ok false";
 }

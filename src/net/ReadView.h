@@ -8,9 +8,10 @@
 /// The read side of the socket server's concurrency story. A ReadView is
 /// an *immutable* solved solver: built once from a GraphSnapshot byte
 /// image (the same serialization `save` writes), settled with
-/// materializeAllViews(), and then never mutated — every query goes
-/// through ConstraintSolver's const read surface (repConst /
-/// leastSolutionViewConst / aliasConst), which does no lazy closure, no
+/// materializeAllViews(), and then never mutated — read lanes answer
+/// every query with serve::answerQuery() on the view's solver and system,
+/// which goes only through ConstraintSolver's const read surface
+/// (repConst / leastSolutionViewConst / aliasConst): no lazy closure, no
 /// lazy finalize, and no union-find path compression. That makes a
 /// published view shareable across any number of reader lanes with no
 /// synchronization at all.
@@ -55,20 +56,6 @@ public:
   static Expected<std::shared_ptr<const ReadView>>
   build(const std::vector<uint8_t> &SnapshotBytes, uint64_t Epoch);
 
-  static constexpr uint32_t NotFound = ~0U;
-
-  /// Resolves a variable name, or NotFound.
-  uint32_t varOf(const std::string &Name) const;
-
-  /// "ok { ... }" for `ls X`.
-  std::string ls(uint32_t Var) const;
-
-  /// "ok { ... }" for `pts X`.
-  std::string pts(uint32_t Var) const;
-
-  /// "ok true" / "ok false" for `alias X Y`.
-  std::string alias(uint32_t X, uint32_t Y) const;
-
   /// The snapshot payload checksum this view was built from — the
   /// epoch's durable identity (matches what `save` would write).
   uint64_t checksum() const { return Checksum; }
@@ -76,7 +63,10 @@ public:
   /// Publisher sequence number (0 = the startup view).
   uint64_t epoch() const { return Epoch; }
 
+  /// The settled solver and its declarations: the arguments of
+  /// serve::answerQuery().
   const ConstraintSolver &solver() const { return *Bundle.Solver; }
+  const ConstraintSystemFile &system() const { return System; }
 
 private:
   ReadView() = default;

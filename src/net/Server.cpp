@@ -33,10 +33,6 @@ std::atomic<int> GStopFd{-1};
 /// Set by requestStop() so a stop that races init() is not lost.
 std::atomic<bool> GStopRequested{false};
 
-bool isReadVerb(const std::string &Verb) {
-  return Verb == "ls" || Verb == "pts" || Verb == "alias";
-}
-
 bool isLocalVerb(const std::string &Verb) {
   return Verb == "help" || Verb == "quit" || Verb == "exit";
 }
@@ -110,14 +106,11 @@ Status NetServer::init() {
                          "--unix)");
 
   MetricsRegistry &R = MetricsRegistry::global();
-  LatencyHist = &R.histogram(
-      "poce_net_query_latency_us",
-      "End-to-end read-lane execution latency of one socket query");
+  LatencyHist = &serve::telemetry::queryLatencyHistogram();
   PublishHist = &R.histogram(
       "poce_net_view_publish_us",
       "Wall time to rebuild and publish a ReadView epoch");
-  QueriesTotal = &R.counter("poce_net_queries_total",
-                            "Socket queries executed on read lanes");
+  QueriesTotal = &serve::telemetry::queriesCounter();
   ErrorsTotal = &R.counter("poce_net_query_errors_total",
                            "Socket queries answered with an err reply");
   ConnsTotal = &R.counter("poce_net_connections_total",
@@ -372,7 +365,7 @@ void NetServer::dispatch() {
       serve::Request Req = serve::parseRequest(Line);
       if (Req.Verb.empty() || Req.Verb[0] == '#')
         continue; // Blank/comment lines get no reply, as on stdin.
-      if (isReadVerb(Req.Verb)) {
+      if (serve::isQueryVerb(Req.Verb)) {
         Task.IsQuery = true;
         Task.Line = std::move(Line);
         Batch.push_back(std::move(Task));
@@ -470,32 +463,10 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
           return;
         LaneAccum &Accum = LaneSlots[Lane].Value;
         const uint64_t StartUs = trace::nowMicros();
-        serve::Request Req = serve::parseRequest(Task.Line);
-        uint32_t X = View->varOf(Req.Arg1);
-        if (X == ReadView::NotFound) {
-          Task.Reply = "err " + Status::error(ErrorCode::NotFound,
-                                              "unknown variable '" +
-                                                  Req.Arg1 + "'")
-                                    .wire();
-          Task.Errored = true;
-        } else if (Req.Verb == "alias") {
-          uint32_t Y = View->varOf(Req.Arg2);
-          if (Y == ReadView::NotFound) {
-            Task.Reply = "err " + Status::error(ErrorCode::NotFound,
-                                                "unknown variable '" +
-                                                    Req.Arg2 + "'")
-                                      .wire();
-            Task.Errored = true;
-          } else {
-            Task.Reply = View->alias(X, Y);
-          }
-        } else if (Req.Verb == "ls") {
-          Task.Reply = View->ls(X);
-        } else {
-          Task.Reply = View->pts(X);
-        }
+        Task.Reply = serve::answerQuery(View->solver(), View->system(),
+                                        serve::parseRequest(Task.Line));
         ++Accum.Queries;
-        Accum.Errors += Task.Errored;
+        Accum.Errors += Task.Reply.rfind("err ", 0) == 0;
         Accum.LatenciesUs.push_back(trace::nowMicros() - StartUs);
       },
       /*Grain=*/1);

@@ -165,7 +165,6 @@ private:
     bool CloseConn = false;
     std::string Line;  ///< Request text (queries).
     std::string Reply; ///< Filled by the wave (or precomputed).
-    bool Errored = false;
   };
 
   /// Completion latch for the synchronous follower-side entry points.

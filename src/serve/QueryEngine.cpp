@@ -7,29 +7,16 @@
 #include "serve/QueryEngine.h"
 
 #include "serve/Wal.h"
-#include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cassert>
+#include <sstream>
 
 using namespace poce;
 using namespace poce::serve;
 
-namespace {
-
-/// Time spent materializing a query view (cache miss or stale rebuild).
-Histogram &viewBuildHistogram() {
-  static Histogram &H = MetricsRegistry::global().histogram(
-      "poce_query_view_build_us",
-      "Microseconds to build an ls/pts view (cache misses and rebuilds)");
-  return H;
-}
-
-} // namespace
-
-QueryEngine::QueryEngine(SolverBundle InBundle, size_t CacheCapacity)
-    : Bundle(std::move(InBundle)), Cache(CacheCapacity) {
+QueryEngine::QueryEngine(SolverBundle InBundle)
+    : Bundle(std::move(InBundle)) {
   if (!Bundle.Solver) {
     InitError = "empty solver bundle";
     return;
@@ -46,14 +33,6 @@ QueryEngine::QueryEngine(SolverBundle InBundle, size_t CacheCapacity)
   RollbackArmed = Base.ok();
   if (!RollbackArmed)
     BaseBytes.clear();
-}
-
-uint32_t QueryEngine::varOf(const std::string &Name) const {
-  uint32_t Index = System.varIndex(Name);
-  if (Index == ConstraintSystemFile::NotFound ||
-      Index >= Bundle.Solver->numCreations())
-    return NotFound;
-  return Bundle.Solver->varOfCreation(Index);
 }
 
 std::string render::locationTag(const ConstraintSolver &Solver,
@@ -106,59 +85,81 @@ std::string render::renderSet(const std::vector<std::string> &Items) {
   return Out;
 }
 
-const std::vector<std::string> &QueryEngine::view(ViewKind Kind, VarId Var) {
-  ++Stats.Queries;
-  ConstraintSolver &Solver = *Bundle.Solver;
-  // Settle the graph before resolving the representative (a pending wave
-  // closure may collapse Var into a class), and force the lazy finalize
-  // before sampling the epoch — the inductive form's epoch bumps land at
-  // finalize time, when recomputed solutions are diffed against their
-  // previous values.
-  Solver.ensureClosed();
-  VarId Rep = Solver.rep(Var);
-  (void)Solver.leastSolutionBits(Rep);
-  uint64_t Epoch = Solver.mutationEpoch(Rep);
-  uint64_t Key =
-      (static_cast<uint64_t>(static_cast<uint8_t>(Kind)) << 32) | Rep;
-  if (View *Cached = Cache.get(Key)) {
-    if (Cached->Epoch == Epoch) {
-      ++Stats.CacheHits;
-      return Cached->Items;
+std::vector<std::string> render::splitSet(const std::string &Set) {
+  std::vector<std::string> Items;
+  if (Set.size() < 4 || Set.front() != '{' || Set.back() != '}')
+    return Items; // "{}" or not a set.
+  const std::string Body = Set.substr(2, Set.size() - 4);
+  int Depth = 0;
+  size_t Start = 0;
+  for (size_t I = 0; I != Body.size(); ++I) {
+    if (Body[I] == '(')
+      ++Depth;
+    else if (Body[I] == ')')
+      --Depth;
+    else if (Depth == 0 && Body.compare(I, 2, ", ") == 0) {
+      Items.push_back(Body.substr(Start, I - Start));
+      Start = I + 2;
     }
-    ++Stats.StaleRebuilds;
-  } else {
-    ++Stats.CacheMisses;
   }
+  Items.push_back(Body.substr(Start));
+  return Items;
+}
 
-  const bool Timed = MetricsRegistry::timingEnabled() || trace::enabled();
-  const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  View Fresh;
-  Fresh.Epoch = Epoch;
-  Fresh.Items = Kind == ViewKind::Ls
-                    ? render::lsItems(Solver, Solver.leastSolution(Rep))
-                    : render::ptsItems(Solver, Solver.leastSolution(Rep));
-  Cache.put(Key, std::move(Fresh));
-  if (Timed) {
-    viewBuildHistogram().record(trace::nowMicros() - StartUs);
-    trace::complete("query.view_build", StartUs);
+Request serve::parseRequest(const std::string &Line) {
+  Request Req;
+  std::istringstream In(Line);
+  In >> Req.Verb >> Req.Arg1 >> Req.Arg2;
+  size_t VerbEnd = Line.find(Req.Verb);
+  if (VerbEnd != std::string::npos) {
+    size_t RestAt = VerbEnd + Req.Verb.size();
+    while (RestAt < Line.size() && Line[RestAt] == ' ')
+      ++RestAt;
+    Req.Rest = Line.substr(RestAt);
   }
-  return Cache.get(Key)->Items;
+  return Req;
 }
 
-const std::vector<std::string> &QueryEngine::ls(VarId Var) {
-  return view(ViewKind::Ls, Var);
+bool serve::isQueryVerb(const std::string &Verb) {
+  return Verb == "ls" || Verb == "pts" || Verb == "alias";
 }
 
-const std::vector<std::string> &QueryEngine::pts(VarId Var) {
-  return view(ViewKind::Pts, Var);
-}
-
-bool QueryEngine::alias(VarId X, VarId Y) {
-  ++Stats.Queries;
-  ConstraintSolver &Solver = *Bundle.Solver;
-  if (Solver.rep(X) == Solver.rep(Y))
+std::string serve::answerQuery(const ConstraintSolver &Solver,
+                               const ConstraintSystemFile &System,
+                               const Request &Req) {
+  assert(isQueryVerb(Req.Verb) && "answerQuery serves ls/pts/alias only");
+  auto Resolve = [&](const std::string &Name, VarId &Out) {
+    uint32_t Index = System.varIndex(Name);
+    if (Index == ConstraintSystemFile::NotFound ||
+        Index >= Solver.numCreations())
+      return false;
+    Out = Solver.varOfCreation(Index);
     return true;
-  return Solver.leastSolutionBits(X).intersects(Solver.leastSolutionBits(Y));
+  };
+  auto Unknown = [](const std::string &Name) {
+    return "err " + Status::error(ErrorCode::NotFound,
+                                  "unknown variable '" + Name + "'")
+                        .wire();
+  };
+  VarId X = 0, Y = 0;
+  if (!Resolve(Req.Arg1, X))
+    return Unknown(Req.Arg1);
+  if (Req.Verb == "alias") {
+    if (!Resolve(Req.Arg2, Y))
+      return Unknown(Req.Arg2);
+    return Solver.aliasConst(X, Y) ? "ok true" : "ok false";
+  }
+  const std::vector<ExprId> &Terms =
+      Solver.leastSolutionViewConst(Solver.repConst(X));
+  return "ok " + render::renderSet(Req.Verb == "ls"
+                                       ? render::lsItems(Solver, Terms)
+                                       : render::ptsItems(Solver, Terms));
+}
+
+std::string QueryEngine::answer(const Request &Req) {
+  if (!Bundle.Solver->readShareable())
+    Bundle.Solver->materializeAllViews();
+  return answerQuery(*Bundle.Solver, System, Req);
 }
 
 Status QueryEngine::checkConstraint(const std::string &Line) const {
@@ -299,12 +300,11 @@ Status QueryEngine::rollback() {
                            "journal replay aborted with budgets disabled");
   }
   Fresh.setBudgets(Live.DeadlineMs, Live.MaxEdgeBudget, Live.MaxMemBytes);
-  Fresh.setClosure(Live.Closure, Live.WaveSoA);
+  Fresh.setClosure(Live.Closure);
   Fresh.setPreprocess(Live.Preprocess);
 
   Bundle = std::move(Rebuilt);
   System = std::move(Replayed);
-  Cache.clear();
   return Status();
 }
 
@@ -319,7 +319,6 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
     return Adopt.withContext("adopting replacement snapshot declarations");
   Bundle = std::move(Rebuilt);
   System = std::move(Adopted);
-  Cache.clear();
   AcceptedLines.clear();
   BaseBytes.assign(Data, Data + Size);
   RollbackArmed = true;

@@ -23,22 +23,13 @@
 /// the one before the offending line. The caller sees a clean
 /// BudgetExceeded error and can keep querying.
 ///
-/// Rendered views are kept in a bounded LRU cache keyed by (query kind,
-/// representative). A cached view is valid iff the representative's
-/// solver-side mutation epoch still matches the one sampled when the
-/// view was built: the solver bumps a variable's epoch whenever its
-/// least solution may have changed — on growth from additions AND on
-/// shrinkage from retractions. (The scheme this replaced keyed validity
-/// on the solution bitmap's population count, which is sound only under
-/// monotone growth: a retraction followed by additions can return a
-/// solution to a previous size with different members, and the stale
-/// view would have been served. The epoch never repeats, so that trap
-/// is closed.) Views whose solutions were untouched keep serving from
-/// cache; stale ones are detected (and rebuilt) lazily on their next
-/// hit. Collapses are handled by keying on the current representative:
-/// a variable swallowed by a cycle simply resolves to its witness's
-/// view. Rollback replaces the solver wholesale, so it clears the
-/// cache.
+/// Reads go through one function, answerQuery(), which renders a reply
+/// from a *settled* solver's const read surface. The socket server calls
+/// it on its published ReadViews (net/ReadView.h); the stdin loop and the
+/// `verify` checksum call it through answer(), which first settles the
+/// engine's own solver (materializeAllViews()) if a mutation has
+/// unsettled it since the last read. A settled solver already holds every
+/// least solution as a sorted view, so there is nothing further to cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +39,6 @@
 #include "serve/GraphSnapshot.h"
 #include "setcon/ConstraintFile.h"
 #include "setcon/ConstraintSolver.h"
-#include "support/LruCache.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -58,11 +48,9 @@
 namespace poce {
 namespace serve {
 
-/// Pure rendering helpers shared by every query surface — the cached
-/// QueryEngine views below, the network layer's immutable ReadViews
-/// (net/ReadView.h), and the drivers' reply formatting. All of them are
-/// const over the solver so they are safe on concurrently shared,
-/// settled solvers.
+/// Pure rendering helpers behind answerQuery(). All of them are const
+/// over the solver so they are safe on concurrently shared, settled
+/// solvers.
 namespace render {
 
 /// The location tag of one constructed term: a nullary constructor's
@@ -79,20 +67,47 @@ std::vector<std::string> lsItems(const ConstraintSolver &Solver,
 std::vector<std::string> ptsItems(const ConstraintSolver &Solver,
                                   const std::vector<ExprId> &Terms);
 
-/// "{ a, b }" set formatting shared by the stdin and socket reply paths.
+/// "{ a, b }" set formatting of ls/pts replies.
 std::string renderSet(const std::vector<std::string> &Items);
+
+/// The inverse of renderSet(): the items of a "{ a, b }" set. Splits only
+/// at top-level commas, so constructed terms such as "ref(l, X, X)" stay
+/// whole.
+std::vector<std::string> splitSet(const std::string &Set);
 
 } // namespace render
 
+/// One parsed request line: a verb, up to two whitespace-split arguments,
+/// and the raw remainder after the verb (which preserves the spacing of
+/// `add` constraint payloads).
+struct Request {
+  std::string Verb, Arg1, Arg2, Rest;
+};
+
+/// Splits \p Line into a Request (the wire format of both the stdin and
+/// the socket protocol).
+Request parseRequest(const std::string &Line);
+
+/// True for the read verbs answerQuery() serves: ls, pts, alias.
+bool isQueryVerb(const std::string &Verb);
+
+/// The one read path of both front ends: the full reply line to an
+/// `ls X` / `pts X` / `alias X Y` request — "ok { ... }", "ok true" /
+/// "ok false", or "err not_found unknown variable '...'". Names resolve
+/// through \p System's declarations. Works only through \p Solver's
+/// const read surface, so \p Solver must be settled
+/// (materializeAllViews()); under that contract any number of threads may
+/// call this on one solver concurrently. Records no telemetry — the front
+/// ends time and count requests, internal callers such as `verify` do not.
+std::string answerQuery(const ConstraintSolver &Solver,
+                        const ConstraintSystemFile &System,
+                        const Request &Req);
+
 class QueryEngine {
 public:
-  /// Query-layer counters (the solver's own stats stay separate and are
+  /// Mutation counters (the solver's own stats stay separate and are
   /// exposed through solver().stats()).
   struct Counters {
-    uint64_t Queries = 0;       ///< ls/pts/alias calls answered.
-    uint64_t CacheHits = 0;     ///< Served from a still-valid cached view.
-    uint64_t CacheMisses = 0;   ///< View built fresh (first touch).
-    uint64_t StaleRebuilds = 0; ///< Cached view outgrown by additions.
     uint64_t Additions = 0;     ///< addConstraint lines accepted.
     uint64_t Retractions = 0;   ///< retractConstraint lines accepted.
     uint64_t BudgetAborts = 0;  ///< Mutations rejected by a budget breach.
@@ -106,7 +121,7 @@ public:
   /// without invalidating the engine (e.g. Oracle-eliminated solvers are
   /// not serializable); the engine then runs with rollback disarmed and
   /// budget breaches become unrecoverable for the batch.
-  explicit QueryEngine(SolverBundle Bundle, size_t CacheCapacity = 256);
+  explicit QueryEngine(SolverBundle Bundle);
 
   bool valid() const { return Valid; }
   const std::string &initError() const { return InitError; }
@@ -114,29 +129,16 @@ public:
   /// True when a budget abort can be rolled back (base snapshot captured).
   bool rollbackArmed() const { return RollbackArmed; }
 
-  /// Resolves a variable name to its VarId, or NotFound.
-  uint32_t varOf(const std::string &Name) const;
-  static constexpr uint32_t NotFound = ~0U;
-
-  /// The least solution of \p Var rendered as term strings (cached).
-  const std::vector<std::string> &ls(VarId Var);
-
-  /// The points-to projection of \p Var's least solution (cached): each
-  /// term contributes its location tag — a nullary constructor's name, or
-  /// the name of a nullary first argument (the ref(l, get, set) shape
-  /// Andersen's analysis uses), or the full rendering otherwise.
-  const std::vector<std::string> &pts(VarId Var);
-
-  /// True if \p X and \p Y may alias: same representative after
-  /// collapses, or intersecting least solutions.
-  bool alias(VarId X, VarId Y);
+  /// answerQuery() on this engine's solver, settled first if a mutation
+  /// has unsettled it since the last read (one materializeAllViews() per
+  /// mutation, however many reads follow).
+  std::string answer(const Request &Req);
 
   /// Feeds one line of the constraint-file format (declaration or
-  /// constraint) through the online closure. Affected cached views are
-  /// invalidated by the fingerprint check on their next access. On parse
-  /// failure the graph is untouched; on a budget breach the engine rolls
-  /// back to the pre-line state and returns BudgetExceeded (or Internal,
-  /// if rollback itself is impossible — see rollbackArmed()).
+  /// constraint) through the online closure. On parse failure the graph
+  /// is untouched; on a budget breach the engine rolls back to the
+  /// pre-line state and returns BudgetExceeded (or Internal, if rollback
+  /// itself is impossible — see rollbackArmed()).
   Status addConstraint(const std::string &Line);
 
   /// Dry-run of addConstraint(): parses and validates \p Line against
@@ -153,8 +155,7 @@ public:
   /// original text. NotFound when no live constraint matches;
   /// InvalidArgument for non-constraint lines. On a budget breach
   /// mid-recompute the engine rolls back to the pre-line state exactly
-  /// as addConstraint does. Affected cached views invalidate through
-  /// the mutation-epoch check on their next access — no cache flush.
+  /// as addConstraint does.
   Status retractConstraint(const std::string &Line);
 
   /// Dry-run of retractConstraint(): canonicalizes \p Line and checks a
@@ -172,8 +173,8 @@ public:
   Status checkpointBase();
 
   /// Replaces the engine's entire state with the graph deserialized from
-  /// \p Data — cache and journal cleared, rollback re-armed on the new
-  /// base. The snapshot's recorded solver options are adopted wholesale
+  /// \p Data — journal cleared, rollback re-armed on the new base. The
+  /// snapshot's recorded solver options are adopted wholesale
   /// (no live re-arm): a replication follower re-bootstrapping from its
   /// primary must end up bit-identical to it, down to the serialized
   /// option and counter words. Leaves the engine untouched on failure.
@@ -185,26 +186,12 @@ public:
   const std::vector<std::string> &journal() const { return AcceptedLines; }
 
   const Counters &counters() const { return Stats; }
-  uint64_t cacheEvictions() const { return Cache.evictions(); }
-  size_t cacheSize() const { return Cache.size(); }
 
   ConstraintSolver &solver() { return *Bundle.Solver; }
   const ConstraintSolver &solver() const { return *Bundle.Solver; }
   const ConstraintSystemFile &system() const { return System; }
 
 private:
-  enum class ViewKind : uint8_t { Ls, Pts };
-
-  struct View {
-    /// The representative's mutation epoch at build time; any change to
-    /// its least solution since (growth or shrinkage) bumps the live
-    /// epoch and invalidates the view.
-    uint64_t Epoch;
-    std::vector<std::string> Items;
-  };
-
-  const std::vector<std::string> &view(ViewKind Kind, VarId Var);
-
   /// Rebuilds the bundle from BaseBytes and replays AcceptedLines with
   /// budgets disabled (they were each within budget when first accepted;
   /// re-aborting mid-restore would lose the graph). Leaves the engine
@@ -213,7 +200,6 @@ private:
 
   SolverBundle Bundle;
   ConstraintSystemFile System;
-  LruCache<uint64_t, View> Cache;
   Counters Stats;
   bool Valid = false;
   bool RollbackArmed = false;

@@ -12,29 +12,14 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
-#include <sstream>
 
 using namespace poce;
 using namespace poce::serve;
 
-Request poce::serve::parseRequest(const std::string &Line) {
-  Request Req;
-  std::istringstream In(Line);
-  In >> Req.Verb >> Req.Arg1 >> Req.Arg2;
-  size_t VerbEnd = Line.find(Req.Verb);
-  if (VerbEnd != std::string::npos) {
-    size_t RestAt = VerbEnd + Req.Verb.size();
-    while (RestAt < Line.size() && Line[RestAt] == ' ')
-      ++RestAt;
-    Req.Rest = Line.substr(RestAt);
-  }
-  return Req;
-}
-
-ServerCore::ServerCore(SolverBundle Bundle, size_t CacheCapacity,
-                       ServerCoreConfig InConfig)
-    : Engine(std::move(Bundle), CacheCapacity), Config(std::move(InConfig)) {}
+ServerCore::ServerCore(SolverBundle Bundle, ServerCoreConfig InConfig)
+    : Engine(std::move(Bundle)), Config(std::move(InConfig)) {}
 
 Status ServerCore::recover(uint64_t SnapBase) {
   if (walArmed()) {
@@ -121,13 +106,19 @@ uint64_t ServerCore::canonicalChecksum() {
   uint32_t NumVars = Solver.numVars();
   std::vector<std::string> Lines;
   Lines.reserve(NumVars);
+  Request Ls;
+  Ls.Verb = "ls";
   for (uint32_t V = 0; V != NumVars; ++V) {
-    // Copy before sorting: ls() hands back a reference into the view
-    // cache, and item order follows internal term ids, which legitimately
-    // differ across a serialize/load round trip.
-    std::vector<std::string> Items = Engine.ls(V);
+    // Item order follows internal term ids, which legitimately differ
+    // across a serialize/load round trip, so sort the items. Every
+    // variable is declared under a unique name (adoptDeclarations()), so
+    // the name resolves back to V.
+    Ls.Arg1 = Solver.varName(V);
+    std::string Reply = Engine.answer(Ls);
+    assert(Reply.rfind("ok ", 0) == 0 && "every variable resolves");
+    std::vector<std::string> Items = render::splitSet(Reply.substr(3));
     std::sort(Items.begin(), Items.end());
-    std::string Line = Solver.varName(V);
+    std::string Line = Ls.Arg1;
     Line += '=';
     for (const std::string &Item : Items) {
       Line += Item;

@@ -53,17 +53,6 @@ inline std::string hexId(uint64_t Value) {
   return Buf;
 }
 
-/// One parsed request line: a verb, up to two whitespace-split arguments,
-/// and the raw remainder after the verb (which preserves the spacing of
-/// `add` constraint payloads).
-struct Request {
-  std::string Verb, Arg1, Arg2, Rest;
-};
-
-/// Splits \p Line into a Request (the wire format of both the stdin and
-/// the socket protocol).
-Request parseRequest(const std::string &Line);
-
 /// Durability configuration of a ServerCore.
 struct ServerCoreConfig {
   std::string SnapshotPath; ///< Startup snapshot path ("" = .scs base).
@@ -88,10 +77,8 @@ struct ReplicationSink {
 
 class ServerCore {
 public:
-  /// Wraps \p Bundle in a QueryEngine with \p CacheCapacity cached views.
-  /// Check valid() before use.
-  ServerCore(SolverBundle Bundle, size_t CacheCapacity,
-             ServerCoreConfig Config);
+  /// Wraps \p Bundle in a QueryEngine. Check valid() before use.
+  ServerCore(SolverBundle Bundle, ServerCoreConfig Config);
 
   bool valid() const { return Engine.valid(); }
   const std::string &initError() const { return Engine.initError(); }
@@ -149,8 +136,8 @@ public:
     return telemetry::buildStatsReply(Engine, counters());
   }
   std::string countersReply() const {
-    return telemetry::buildCountersReply(
-        Engine, telemetry::queryLatencyHistogram());
+    return telemetry::buildCountersReply(Engine, telemetry::queriesCounter(),
+                                         telemetry::queryLatencyHistogram());
   }
   std::string metricsReply() {
     return telemetry::buildMetricsReply(MetricsRegistry::global(), Engine,
@@ -182,7 +169,8 @@ public:
   /// load-and-replay follower may collapse cycles onto different (equally
   /// valid) representatives, so byte identity is the wrong convergence
   /// signal; answer identity is the claim replication actually makes.
-  /// Writer-lane only (renders through the engine's view cache).
+  /// The items are exactly those `ls` answers (QueryEngine::answer()).
+  /// Writer-lane only (settles the engine's solver).
   uint64_t canonicalChecksum();
 
   /// \name Replication (primary side)

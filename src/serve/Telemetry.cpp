@@ -15,10 +15,16 @@ namespace poce {
 namespace serve {
 namespace telemetry {
 
+Counter &queriesCounter() {
+  static Counter &C = MetricsRegistry::global().counter(
+      "poce_net_queries_total", "ls/pts/alias requests answered");
+  return C;
+}
+
 Histogram &queryLatencyHistogram() {
   static Histogram &H = MetricsRegistry::global().histogram(
-      "poce_query_latency_us",
-      "End-to-end microseconds per ls/pts/alias request");
+      "poce_net_query_latency_us",
+      "Server-side microseconds per ls/pts/alias request");
   return H;
 }
 
@@ -53,15 +59,11 @@ std::string buildStatsReply(const QueryEngine &Engine,
 }
 
 std::string buildCountersReply(const QueryEngine &Engine,
+                               const Counter &Queries,
                                const Histogram &Latency) {
-  const QueryEngine::Counters &C = Engine.counters();
   HistogramSnapshot Snap = Latency.snapshot();
-  return "ok queries=" + std::to_string(C.Queries) +
-         " hits=" + std::to_string(C.CacheHits) +
-         " misses=" + std::to_string(C.CacheMisses) +
-         " stale=" + std::to_string(C.StaleRebuilds) +
-         " additions=" + std::to_string(C.Additions) +
-         " evictions=" + std::to_string(Engine.cacheEvictions()) +
+  return "ok queries=" + std::to_string(Queries.value()) +
+         " additions=" + std::to_string(Engine.counters().Additions) +
          " p50_us=" + std::to_string(Snap.quantile(0.50)) +
          " p99_us=" + std::to_string(Snap.quantile(0.99));
 }
@@ -72,16 +74,6 @@ void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
   auto Set = [&Registry](const char *Name, const char *Help, uint64_t Value) {
     Registry.counter(Name, Help).set(Value);
   };
-  Set("poce_query_requests_total", "ls/pts/alias queries answered",
-      C.Queries);
-  Set("poce_query_cache_hits_total", "Queries served from a valid view",
-      C.CacheHits);
-  Set("poce_query_cache_misses_total", "Views built on first touch",
-      C.CacheMisses);
-  Set("poce_query_cache_stale_total", "Cached views outgrown and rebuilt",
-      C.StaleRebuilds);
-  Set("poce_query_cache_evictions_total", "Views dropped by LRU pressure",
-      Engine.cacheEvictions());
   Set("poce_serve_additions_total", "Constraint lines accepted",
       C.Additions);
   Set("poce_serve_budget_aborts_total", "Additions rejected by a budget",
@@ -98,9 +90,6 @@ void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
       .set(Server.WalRecords);
   Registry.gauge("poce_serve_wal_bytes", "Bytes in the open WAL")
       .set(Server.WalBytes);
-  Registry
-      .gauge("poce_query_cache_size", "Views currently held by the LRU")
-      .set(Engine.cacheSize());
 }
 
 std::string buildMetricsReply(MetricsRegistry &Registry, QueryEngine &Engine,

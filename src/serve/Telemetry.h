@@ -45,8 +45,14 @@ struct ServerCounters {
   uint64_t WalBytes = 0;
 };
 
-/// End-to-end latency of one ls/pts/alias request
-/// (poce_query_latency_us in the global registry).
+/// ls/pts/alias requests answered by either front end, err replies
+/// included (poce_net_queries_total in the global registry). Internal
+/// reads, such as `verify`'s renders, are not requests and do not count.
+Counter &queriesCounter();
+
+/// Server-side latency of one ls/pts/alias request, recorded by whichever
+/// front end answered it (poce_net_query_latency_us in the global
+/// registry).
 Histogram &queryLatencyHistogram();
 
 /// Wall time of one checkpoint: snapshot write + WAL reset + base
@@ -57,13 +63,14 @@ Histogram &checkpointHistogram();
 std::string buildStatsReply(const QueryEngine &Engine,
                             const ServerCounters &Server);
 
-/// The `counters` verb's reply line (starts with "ok "), reading p50/p99
-/// from \p Latency.
+/// The `counters` verb's reply line (starts with "ok "): the request count
+/// from \p Queries and p50/p99 from \p Latency.
 std::string buildCountersReply(const QueryEngine &Engine,
+                               const Counter &Queries,
                                const Histogram &Latency);
 
-/// Mirrors the engine's query counters and the server-loop counters into
-/// \p Registry (poce_query_* / poce_serve_* series). Observe-only, like
+/// Mirrors the engine's mutation counters and the server-loop counters
+/// into \p Registry (poce_serve_* series). Observe-only, like
 /// SolverStats::exportTo.
 void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
                         const ServerCounters &Server);

@@ -252,6 +252,7 @@ void ConstraintSolver::invalidateSolutions() {
   LSBits.clear();
   LSView.clear();
   LSViewBuilt.clear();
+  AllViewsBuilt = false;
 }
 
 void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs, bool Derived) {
@@ -453,26 +454,22 @@ void ConstraintSolver::buildWaveOrder() {
   // order with variable targets pre-resolved — the sweep then walks the
   // pool front to back instead of chasing per-node vectors and forwarding
   // chains. Entry order within a row matches the adjacency list, so
-  // deliveries (and counters) are identical to the non-SoA path.
-  WaveRowStart = nullptr;
-  WaveEdges = nullptr;
-  if (Options.WaveSoA) {
-    WaveArena.reset();
-    WaveRowStart = WaveArena.allocateArray<uint32_t>(Order.size() + 1);
-    size_t Total = 0;
-    for (size_t I = 0; I != Order.size(); ++I) {
-      WaveRowStart[I] = static_cast<uint32_t>(Total);
-      Total += Vars[Order[I]].Succs.size();
-    }
-    WaveRowStart[Order.size()] = static_cast<uint32_t>(Total);
-    WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
-    size_t Out = 0;
-    for (VarId Var : Order)
-      for (uint32_t Entry : Vars[Var].Succs)
-        WaveEdges[Out++] = isTermRef(Entry)
-                               ? Entry
-                               : varRef(Forwarding.find(payloadOf(Entry)));
+  // deliveries (and counters) are identical to the adjacency-list walk.
+  WaveArena.reset();
+  WaveRowStart = WaveArena.allocateArray<uint32_t>(Order.size() + 1);
+  size_t Total = 0;
+  for (size_t I = 0; I != Order.size(); ++I) {
+    WaveRowStart[I] = static_cast<uint32_t>(Total);
+    Total += Vars[Order[I]].Succs.size();
   }
+  WaveRowStart[Order.size()] = static_cast<uint32_t>(Total);
+  WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
+  size_t Out = 0;
+  for (VarId Var : Order)
+    for (uint32_t Entry : Vars[Var].Succs)
+      WaveEdges[Out++] = isTermRef(Entry)
+                             ? Entry
+                             : varRef(Forwarding.find(payloadOf(Entry)));
   WaveOrderValid = true;
   if (Timed) {
     waveOrderHistogram().record(trace::nowMicros() - StartUs);
@@ -806,7 +803,7 @@ void ConstraintSolver::flushDelta(VarId Var) {
   // rebuilt after the last structural change and flushes never add
   // successor edges — so the row mirrors Node.Succs entry for entry with
   // targets already resolved.
-  if (InWavePass && WaveEdges && WaveIndex[Var] != UINT32_MAX) {
+  if (InWavePass && WaveIndex[Var] != UINT32_MAX) {
     uint32_t Pos = WaveIndex[Var];
     assert(WaveRowStart[Pos + 1] - WaveRowStart[Pos] == Node.Succs.size() &&
            "stale CSR row used during a wave sweep");
@@ -1545,6 +1542,7 @@ void ConstraintSolver::materializeAllViews() {
     for (VarId Var = 0; Var != numVars(); ++Var)
       if (Forwarding.isRepresentative(Var))
         (void)materializeLS(Var);
+    AllViewsBuilt = true;
     return;
   }
   ThreadPool Pool(Threads);
@@ -1564,6 +1562,7 @@ void ConstraintSolver::materializeAllSolutions(ThreadPool &Pool) {
     LSView[Rep] = Bits.toVector<ExprId>();
     LSViewBuilt[Rep] = 1;
   });
+  AllViewsBuilt = true;
 }
 
 std::vector<std::vector<ExprId>> ConstraintSolver::referenceLeastSolutions() {

@@ -145,11 +145,11 @@ public:
 
   /// Mutation epoch of \p Var's least solution: bumped whenever the
   /// solution bitmap of the representative may have changed (grown by an
-  /// add, shrunk or regrown by a retraction). A cached view keyed on
-  /// (representative, epoch) is valid iff both still match — unlike a
-  /// popcount fingerprint, the epoch cannot collide when a retraction
-  /// shrinks and regrows a solution to the same size with different
-  /// members. Returns 0 for ids never bumped.
+  /// add, shrunk or regrown by a retraction). State derived from a
+  /// solution and keyed on (representative, epoch) is current iff both
+  /// still match — unlike a popcount fingerprint, the epoch cannot
+  /// collide when a retraction shrinks and regrows a solution to the same
+  /// size with different members. Returns 0 for ids never bumped.
   uint64_t mutationEpoch(VarId Var) const {
     return Var < MutEpochs.size() ? MutEpochs[Var] : 0;
   }
@@ -197,12 +197,13 @@ public:
   // and any number of reader lanes query it concurrently. Calling them on
   // an unsettled solver is a programming error (asserted).
 
-  /// True once finalize() has settled the solutions (materializeAllViews()
-  /// additionally builds every sorted view, which leastSolutionViewConst
-  /// asserts per representative): the precondition of the *Const
-  /// accessors below.
+  /// True once materializeAllViews() has settled the solutions and built
+  /// every representative's sorted view, and no mutation has unsettled
+  /// them since: the precondition of the *Const accessors below. (A bare
+  /// finalize(), or a snapshot load, settles the bitmaps but not the
+  /// views.)
   bool readShareable() const {
-    return Finalized && LSView.size() == numVars();
+    return Finalized && AllViewsBuilt && LSView.size() == numVars();
   }
 
   /// Representative lookup without path compression (single const hop on
@@ -324,14 +325,13 @@ public:
   /// snapshot loader may freely retarget it to the serving machine.
   void setThreads(unsigned Threads) { Options.Threads = Threads; }
 
-  /// Overrides the closure-scheduling mode (and the wave layout toggle).
-  /// Closes any deferred work first so no queued constraint is stranded
-  /// by a Wave -> Worklist switch; the completed closure is the same
-  /// under either mode, so snapshot loaders may retarget freely.
-  void setClosure(ClosureMode Mode, bool SoA = true) {
+  /// Overrides the closure-scheduling mode. Closes any deferred work
+  /// first so no queued constraint is stranded by a Wave -> Worklist
+  /// switch; the completed closure is the same under either mode, so
+  /// snapshot loaders may retarget freely.
+  void setClosure(ClosureMode Mode) {
     ensureClosed();
     Options.Closure = Mode;
-    Options.WaveSoA = SoA;
   }
 
   /// Overrides the preprocessing mode. Closes any deferred work first, so
@@ -463,8 +463,8 @@ private:
   /// (Re)builds the cached topological order: Tarjan-condense the live
   /// variable graph, level the condensation Kahn-style, assign each live
   /// representative a unique position sorted by (level, order index), and
-  /// — under Options.WaveSoA — lay the successor rows out as CSR arrays in
-  /// position order with targets pre-resolved through forwarding.
+  /// lay the successor rows out as CSR arrays in position order with
+  /// targets pre-resolved through forwarding.
   void buildWaveOrder();
 
   /// Drops the cached order/CSR. Called on any structural change the
@@ -621,8 +621,7 @@ private:
   /// because an eager bump at an upstream variable cannot see which
   /// downstream solutions its sources reach. Both retraction paths bump
   /// every cone member explicitly (a shrink produces no growth events).
-  /// Never serialized: a snapshot reload conservatively restarts at 0 and
-  /// the query cache restarts empty with it.
+  /// Never serialized: a snapshot reload conservatively restarts at 0.
   std::vector<uint64_t> MutEpochs;
   /// Inductive form: the LSBits of the last finalized state, moved aside
   /// by invalidateSolutions so the next finalize() can diff solutions and
@@ -656,8 +655,7 @@ private:
   bool WaveOrderValid = false;
   std::vector<uint32_t> WaveLevel;
   std::vector<uint32_t> WaveIndex;
-  /// CSR successor rows in WaveIndex position order (Options.WaveSoA):
-  /// row for position P is WaveEdges[WaveRowStart[P] .. WaveRowStart[P+1])
+  /// CSR successor rows in WaveIndex position order: row for position P is WaveEdges[WaveRowStart[P] .. WaveRowStart[P+1])
   /// of tagged refs with variable targets pre-resolved to representatives.
   /// Arena-backed; rebuilt with the order, reset() reuses the slabs.
   Arena WaveArena{1 << 16};
@@ -694,6 +692,8 @@ private:
   /// Lazily materialized sorted views of the solution bitmaps.
   std::vector<std::vector<ExprId>> LSView;
   std::vector<uint8_t> LSViewBuilt;
+  /// Every representative's view is built (see readShareable()).
+  bool AllViewsBuilt = false;
 
   SolverStats Stats;
 };

@@ -179,12 +179,6 @@ struct SolverOptions {
   /// closure schedule: Offline shrinks the variable graph before the
   /// first closure, then either schedule closes the condensed system.
   PreprocessMode Preprocess = PreprocessMode::None;
-  /// Wave closure only: flush deltas through the cache-conscious SoA edge
-  /// rows (CSR successor arrays sorted by topological position, targets
-  /// pre-resolved through forwarding) instead of the per-node adjacency
-  /// lists. Purely a layout toggle — deliveries, counters, and solutions
-  /// are identical either way; exposed for the ablation bench.
-  bool WaveSoA = true;
   /// Execution lanes for the least-solution post-pass (0 = one per
   /// hardware thread). Purely a wall-clock knob: with any value the least
   /// solutions and every paper-defined counter are bit-identical to the

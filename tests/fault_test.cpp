@@ -38,6 +38,11 @@ struct FailPointGuard {
   ~FailPointGuard() { FailPoint::disarmAll(); }
 };
 
+/// The `pts` reply for \p Name through the engine's read path.
+std::string pts(QueryEngine &Engine, const std::string &Name) {
+  return Engine.answer(parseRequest("pts " + Name));
+}
+
 /// A fresh temp-file path; removes any leftover from a previous run.
 std::string tempPath(const std::string &Name) {
   std::string Path = testing::TempDir() + "poce_fault_" + Name;
@@ -566,9 +571,7 @@ TEST(BudgetTest, EdgeBudgetAbortRollsBackBitIdentical) {
   EXPECT_TRUE(Engine.journal().empty());
 
   // ...and the engine keeps serving queries.
-  VarId C63 = Engine.varOf("C63");
-  ASSERT_NE(C63, QueryEngine::NotFound);
-  EXPECT_TRUE(Engine.pts(C63).empty());
+  EXPECT_EQ(pts(Engine, "C63"), "ok {}");
 
   // Rollback restored the LIVE budgets, not the (unbudgeted) base ones:
   // the same offending line aborts again.
@@ -580,9 +583,31 @@ TEST(BudgetTest, EdgeBudgetAbortRollsBackBitIdentical) {
   // Disarming the budget lets the identical line through.
   Engine.solver().setBudgets(0, 0, 0);
   ASSERT_TRUE(Engine.addConstraint("s <= C0").ok());
-  EXPECT_EQ(Engine.pts(C63), (std::vector<std::string>{"s"}));
+  EXPECT_EQ(pts(Engine, "C63"), "ok { s }");
   EXPECT_EQ(Engine.counters().Additions, 1u);
   EXPECT_EQ(Engine.journal(), (std::vector<std::string>{"s <= C0"}));
+}
+
+TEST(BudgetTest, RollbackToSettledBaseServesItsSolutions) {
+  // scserved settles the solver before the engine captures its rollback
+  // base, so the base snapshot carries finalized solutions but no sorted
+  // views. A rollback with an empty journal restores exactly that state,
+  // and the next read must build the views rather than serve empty ones.
+  SolverBundle Bundle =
+      makeBundle(chainText(64) + "s <= C0\ncons t\n",
+                 makeConfig(GraphForm::Inductive, CycleElim::Online));
+  Bundle.Solver->materializeAllViews();
+  QueryEngine Engine(std::move(Bundle));
+  ASSERT_TRUE(Engine.valid()) << Engine.initError();
+  ASSERT_TRUE(Engine.rollbackArmed());
+  EXPECT_EQ(pts(Engine, "C63"), "ok { s }");
+
+  Engine.solver().setBudgets(0, /*MaxEdgeBudget=*/1, 0);
+  ASSERT_EQ(Engine.addConstraint("t <= C0").code(),
+            ErrorCode::BudgetExceeded);
+  ASSERT_TRUE(Engine.journal().empty());
+  EXPECT_EQ(pts(Engine, "C63"), "ok { s }");
+  EXPECT_EQ(pts(Engine, "C0"), "ok { s }");
 }
 
 TEST(BudgetTest, GenerousBudgetsDoNotFireOnSmallAdds) {
@@ -594,8 +619,7 @@ TEST(BudgetTest, GenerousBudgetsDoNotFireOnSmallAdds) {
   Status Add = Engine.addConstraint("s <= C0");
   ASSERT_TRUE(Add.ok()) << Add;
   EXPECT_EQ(Engine.counters().BudgetAborts, 0u);
-  EXPECT_EQ(Engine.pts(Engine.varOf("C7")),
-            (std::vector<std::string>{"s"}));
+  EXPECT_EQ(pts(Engine, "C7"), "ok { s }");
 }
 
 TEST(BudgetTest, InjectedAbortViaFailpointRollsBack) {
@@ -615,8 +639,7 @@ TEST(BudgetTest, InjectedAbortViaFailpointRollsBack) {
   // One-shot: the failpoint disarmed itself, so the retry succeeds.
   EXPECT_EQ(FailPoint::armedCount(), 0u);
   ASSERT_TRUE(Engine.addConstraint("s <= C0").ok());
-  EXPECT_EQ(Engine.pts(Engine.varOf("C15")),
-            (std::vector<std::string>{"s"}));
+  EXPECT_EQ(pts(Engine, "C15"), "ok { s }");
 }
 
 TEST(BudgetTest, CheckpointBaseMovesTheRollbackTarget) {
@@ -639,8 +662,7 @@ TEST(BudgetTest, CheckpointBaseMovesTheRollbackTarget) {
   EXPECT_EQ(Engine.addConstraint("s <= C0").code(),
             ErrorCode::BudgetExceeded);
   EXPECT_EQ(serialized(Engine.solver()), CheckpointBytes);
-  EXPECT_EQ(Engine.pts(Engine.varOf("C31")),
-            (std::vector<std::string>{"t"}));
+  EXPECT_EQ(pts(Engine, "C31"), "ok { t }");
 }
 
 TEST(BudgetTest, JournaledLinesSurviveRollback) {
@@ -661,8 +683,7 @@ TEST(BudgetTest, JournaledLinesSurviveRollback) {
   EXPECT_EQ(serialized(Engine.solver()), AckedBytes);
   EXPECT_EQ(Engine.journal(),
             (std::vector<std::string>{"cons t", "t <= C16"}));
-  EXPECT_EQ(Engine.pts(Engine.varOf("C31")),
-            (std::vector<std::string>{"t"}));
+  EXPECT_EQ(pts(Engine, "C31"), "ok { t }");
 }
 
 TEST(BudgetTest, CheckConstraintIsANonMutatingDryRun) {
@@ -694,7 +715,7 @@ TEST(BudgetTest, CheckConstraintIsANonMutatingDryRun) {
 
   // A line that passed checkConstraint applies cleanly.
   ASSERT_TRUE(Engine.addConstraint("s <= C0").ok());
-  EXPECT_EQ(Engine.pts(Engine.varOf("C7")), (std::vector<std::string>{"s"}));
+  EXPECT_EQ(pts(Engine, "C7"), "ok { s }");
 }
 
 TEST(BudgetTest, UnserializableSolverReportsUnrecoverableBreach) {
@@ -746,8 +767,7 @@ TEST(WarmRecoveryTest, SnapshotPlusReplayEqualsUninterrupted) {
     ASSERT_TRUE(Warm.addConstraint(Line).ok()) << Line;
   }
   EXPECT_EQ(serialized(Warm.solver()), serialized(Uninterrupted.solver()));
-  EXPECT_EQ(Warm.pts(Warm.varOf("P")),
-            Uninterrupted.pts(Uninterrupted.varOf("P")));
+  EXPECT_EQ(pts(Warm, "P"), pts(Uninterrupted, "P"));
 }
 
 TEST(WarmRecoveryTest, WalBackedRecoveryEndToEnd) {
@@ -788,8 +808,7 @@ TEST(WarmRecoveryTest, WalBackedRecoveryEndToEnd) {
   for (const std::string &Line : Lines)
     ASSERT_TRUE(Fresh.addConstraint(Line).ok());
   EXPECT_EQ(serialized(Recovered.solver()), serialized(Fresh.solver()));
-  EXPECT_EQ(Recovered.pts(Recovered.varOf("C7")),
-            (std::vector<std::string>{"s", "t"}));
+  EXPECT_EQ(pts(Recovered, "C7"), "ok { s, t }");
   std::remove(SnapPath.c_str());
   std::remove(WalPath.c_str());
 }

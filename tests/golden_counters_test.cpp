@@ -87,6 +87,14 @@ const FileGoldens SeedGoldens[] = {
       {"IF-Periodic", 78, 73, 0, 5, 29, 0}}},
 };
 
+// gtest lists a parameterized case as "<name> # GetParam() = <value>".
+// Without a printer the row is dumped as raw bytes, which include the
+// address of the file-name literal, so the listed case names would change
+// from build to build and run to run.
+void PrintTo(const FileGoldens &G, std::ostream *OS) {
+  *OS << '"' << G.File << '"';
+}
+
 // The one order-sensitive (file, config) pair: SF-Online with difference
 // propagation detects one extra cycle on events.c and ends up slightly
 // ahead of the seed interleaving.

@@ -30,6 +30,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -209,8 +210,7 @@ struct LoopbackServer {
     System.emit(*Bundle.Solver);
     Bundle.Solver->materializeAllViews();
 
-    Core = std::make_unique<serve::ServerCore>(std::move(Bundle),
-                                               /*CacheCapacity=*/64, CoreCfg);
+    Core = std::make_unique<serve::ServerCore>(std::move(Bundle), CoreCfg);
     if (!Core->valid()) {
       Error = Core->initError();
       return;
@@ -265,24 +265,10 @@ std::string ask(LineClient &C, const std::string &Line) {
 
 /// Parses "ok { a, b, c }" into the element set.
 std::set<std::string> parseSet(const std::string &Reply) {
-  std::set<std::string> Out;
-  size_t Open = Reply.find('{'), Close = Reply.rfind('}');
-  if (Open == std::string::npos || Close == std::string::npos ||
-      Close <= Open)
-    return Out;
-  std::string Body = Reply.substr(Open + 1, Close - Open - 1);
-  size_t Pos = 0;
-  while (Pos < Body.size()) {
-    size_t Comma = Body.find(',', Pos);
-    std::string Item = Body.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    size_t First = Item.find_first_not_of(' ');
-    size_t Last = Item.find_last_not_of(' ');
-    if (First != std::string::npos)
-      Out.insert(Item.substr(First, Last - First + 1));
-    Pos = Comma == std::string::npos ? Body.size() : Comma + 1;
-  }
-  return Out;
+  if (Reply.rfind("ok ", 0) != 0)
+    return {};
+  std::vector<std::string> Items = serve::render::splitSet(Reply.substr(3));
+  return {Items.begin(), Items.end()};
 }
 
 //===----------------------------------------------------------------------===//
@@ -317,6 +303,111 @@ TEST(NetServerTest, ProtocolMatchesStdinMode) {
   std::string Dead;
   EXPECT_FALSE(C.recvLine(Dead).ok()); // server closed after the goodbye
   EXPECT_EQ(S.stop(), 0);
+}
+
+/// The numeric `Key=` field of a key=value reply line.
+uint64_t replyField(const std::string &Reply, const std::string &Key) {
+  size_t At = Reply.find(" " + Key + "=");
+  EXPECT_NE(At, std::string::npos) << Key << " in: " << Reply;
+  return At == std::string::npos
+             ? 0
+             : std::stoull(Reply.substr(At + Key.size() + 2));
+}
+
+TEST(NetServerTest, CountersReportSocketQueries) {
+  // Only client ls/pts/alias requests count; `verify` renders every
+  // variable through the same read path and must record nothing.
+  LoopbackServer S(SwapText);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  LineClient C = S.client();
+  const uint64_t Before = replyField(ask(C, "counters"), "queries");
+
+  const uint64_t N = 40;
+  const char *Queries[] = {"ls P", "pts Q", "alias P Q", "ls nosuch"};
+  for (uint64_t I = 0; I != N; ++I)
+    (void)ask(C, Queries[I % 4]);
+  std::string Verify = ask(C, "verify");
+  EXPECT_EQ(Verify.rfind("ok verify checksum=", 0), 0u) << Verify;
+
+  std::string Reply = ask(C, "counters");
+  EXPECT_EQ(replyField(Reply, "queries") - Before, N) << Reply;
+  EXPECT_GT(replyField(Reply, "p99_us"), 0u) << Reply;
+}
+
+TEST(ReadViewTest, AnswersMatchSettledWriter) {
+  // A published ReadView (serialize -> deserialize -> settle) must answer
+  // every request exactly as the writer's own settled solver does, after
+  // any add/retract history.
+  const uint32_t Vars = 20, Sources = 5;
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
+    PRNG Rng(0x7265616400u + static_cast<uint64_t>(Form));
+    auto RandomLine = [&] {
+      std::string Lhs =
+          Rng.nextBelow(3) == 0
+              ? "s" + std::to_string(Rng.nextBelow(Sources))
+              : "x" + std::to_string(Rng.nextBelow(Vars));
+      return Lhs + " <= x" + std::to_string(Rng.nextBelow(Vars));
+    };
+    std::string Text;
+    for (uint32_t I = 0; I != Sources; ++I)
+      Text += "cons s" + std::to_string(I) + "\n";
+    Text += "var";
+    for (uint32_t V = 0; V != Vars; ++V)
+      Text += " x" + std::to_string(V);
+    Text += "\n";
+    std::vector<std::string> Live;
+    for (int I = 0; I != 30; ++I) {
+      std::string Line = RandomLine();
+      if (std::find(Live.begin(), Live.end(), Line) == Live.end()) {
+        Live.push_back(Line);
+        Text += Line + "\n";
+      }
+    }
+
+    serve::SolverBundle Bundle;
+    Bundle.Constructors = std::make_unique<ConstructorTable>();
+    Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
+    Bundle.Solver = std::make_unique<ConstraintSolver>(
+        *Bundle.Terms, makeConfig(Form, CycleElim::Online));
+    ConstraintSystemFile System;
+    ASSERT_TRUE(System.parse(Text).ok());
+    System.emit(*Bundle.Solver);
+    serve::QueryEngine Engine(std::move(Bundle));
+    ASSERT_TRUE(Engine.valid()) << Engine.initError();
+
+    for (int Step = 0; Step != 40; ++Step) {
+      if (!Live.empty() && Rng.nextBelow(3) == 0) {
+        size_t Victim = Rng.nextBelow(Live.size());
+        ASSERT_TRUE(Engine.retractConstraint(Live[Victim]).ok())
+            << Live[Victim];
+        Live.erase(Live.begin() + static_cast<ptrdiff_t>(Victim));
+      } else {
+        std::string Line = RandomLine();
+        if (std::find(Live.begin(), Live.end(), Line) != Live.end())
+          continue;
+        ASSERT_TRUE(Engine.addConstraint(Line).ok()) << Line;
+        Live.push_back(Line);
+      }
+    }
+
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(serve::GraphSnapshot::serialize(Engine.solver(), Bytes).ok());
+    Expected<std::shared_ptr<const ReadView>> View =
+        ReadView::build(Bytes, /*Epoch=*/1);
+    ASSERT_TRUE(View.ok()) << View.status().toString();
+    for (uint32_t V = 0; V != Vars; ++V) {
+      std::string X = "x" + std::to_string(V);
+      std::string Y = "x" + std::to_string((V * 7 + 3) % Vars);
+      for (const std::string &Line :
+           {"ls " + X, "pts " + X, "alias " + X + " " + Y}) {
+        serve::Request Req = serve::parseRequest(Line);
+        EXPECT_EQ(serve::answerQuery((*View)->solver(), (*View)->system(),
+                                     Req),
+                  Engine.answer(Req))
+            << Line;
+      }
+    }
+  }
 }
 
 TEST(NetServerTest, PipelinedRequestsAnswerInOrder) {
@@ -817,8 +908,7 @@ TEST(NetReplicationTest, VerifyConvergesAcrossRepresentationDivergence) {
   serve::ServerCoreConfig FolCfg;
   FolCfg.SnapshotPath = FolSnap;
   FolCfg.WalPath = replTempPath("canon_fol.wal");
-  serve::ServerCore FolCore(std::move(FolBundle), /*CacheCapacity=*/64,
-                            FolCfg);
+  serve::ServerCore FolCore(std::move(FolBundle), FolCfg);
   ASSERT_TRUE(FolCore.valid()) << FolCore.initError();
   Status Recovered = FolCore.recover(FolBase);
   ASSERT_TRUE(Recovered.ok()) << Recovered.toString();

@@ -246,6 +246,14 @@ const OfflineGolden OfflineGoldens[] = {
     {"strings.c", 0, 0, 26},
 };
 
+// gtest lists a parameterized case as "<name> # GetParam() = <value>".
+// Without a printer the row is dumped as raw bytes, which include the
+// address of the file-name literal, so the listed case names would change
+// from build to build and run to run.
+void PrintTo(const OfflineGolden &G, std::ostream *OS) {
+  *OS << '"' << G.File << '"';
+}
+
 } // namespace
 
 class OfflineGoldenTest : public testing::TestWithParam<OfflineGolden> {};

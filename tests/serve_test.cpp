@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Behavioral tests for serve/QueryEngine: query semantics over a solved
-// system, LRU cache and fingerprint-invalidation counters, and the
-// incremental path — feeding additions through the warm online closure
-// (directly and through a snapshot round trip) must be provably
-// equivalent to solving the extended system from scratch.
+// system (through answerQuery, the one read path), answers tracking
+// every mutation, and the incremental path — feeding additions through
+// the warm online closure (directly and through a snapshot round trip)
+// must be provably equivalent to solving the extended system from
+// scratch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +58,11 @@ struct TextSystem {
   SolverBundle take() { return std::move(Bundle); }
 };
 
+/// One request line through the engine's read path.
+std::string ask(QueryEngine &Engine, const std::string &Line) {
+  return Engine.answer(parseRequest(Line));
+}
+
 std::string readCorpusFile(const char *Name) {
   std::ifstream In(std::string(POCE_SOURCE_DIR) + "/examples/data/" + Name);
   EXPECT_TRUE(In.good()) << Name;
@@ -72,24 +78,24 @@ TEST(QueryEngineTest, SwapSemantics) {
   QueryEngine Engine(Sys.take());
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
 
-  VarId P = Engine.varOf("P"), Q = Engine.varOf("Q");
-  VarId X = Engine.varOf("X"), Y = Engine.varOf("Y");
-  ASSERT_NE(P, QueryEngine::NotFound);
-  ASSERT_NE(Q, QueryEngine::NotFound);
-  EXPECT_EQ(Engine.varOf("no_such_var"), QueryEngine::NotFound);
+  EXPECT_EQ(ask(Engine, "ls no_such_var"),
+            "err not_found unknown variable 'no_such_var'");
+  EXPECT_EQ(ask(Engine, "alias P no_such_var"),
+            "err not_found unknown variable 'no_such_var'");
 
   // The T/P/Q cycle collapses, so both pointers see both locations.
-  EXPECT_EQ(Engine.pts(P), (std::vector<std::string>{"nx", "ny"}));
-  EXPECT_EQ(Engine.pts(Q), (std::vector<std::string>{"nx", "ny"}));
-  EXPECT_EQ(Engine.ls(P).size(), 2u);
-  EXPECT_NE(Engine.ls(P)[0].find("ref("), std::string::npos);
+  EXPECT_EQ(ask(Engine, "pts P"), "ok { nx, ny }");
+  EXPECT_EQ(ask(Engine, "pts Q"), "ok { nx, ny }");
+  std::string Ls = ask(Engine, "ls P");
+  EXPECT_EQ(Ls.rfind("ok { ref(", 0), 0u) << Ls;
+  EXPECT_EQ(render::splitSet(Ls.substr(3)).size(), 2u) << Ls;
 
-  EXPECT_TRUE(Engine.alias(P, Q));
-  EXPECT_TRUE(Engine.alias(P, P));
-  EXPECT_FALSE(Engine.alias(X, Y));
+  EXPECT_EQ(ask(Engine, "alias P Q"), "ok true");
+  EXPECT_EQ(ask(Engine, "alias P P"), "ok true");
+  EXPECT_EQ(ask(Engine, "alias X Y"), "ok false");
 }
 
-TEST(QueryEngineTest, CacheCountersAndInvalidation) {
+TEST(QueryEngineTest, AnswersTrackAdditions) {
   const char *Text = "cons a\n"
                      "cons b\n"
                      "var X Y\n"
@@ -99,33 +105,26 @@ TEST(QueryEngineTest, CacheCountersAndInvalidation) {
   ASSERT_TRUE(Sys.Error.empty()) << Sys.Error;
   QueryEngine Engine(Sys.take());
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
-  VarId X = Engine.varOf("X"), Y = Engine.varOf("Y");
 
-  EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"});
-  EXPECT_EQ(Engine.pts(Y), std::vector<std::string>{"b"});
-  EXPECT_EQ(Engine.counters().CacheMisses, 2u);
-  EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"});
-  EXPECT_EQ(Engine.counters().CacheHits, 1u);
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 0u);
+  EXPECT_EQ(ask(Engine, "pts X"), "ok { a }");
+  EXPECT_EQ(ask(Engine, "pts Y"), "ok { b }");
+  EXPECT_TRUE(Engine.solver().readShareable());
 
-  // Growing X must invalidate only X's view: Y keeps serving from cache.
+  // A mutation unsettles the solver; the next read settles it again.
   Status Added = Engine.addConstraint("b <= X");
   ASSERT_TRUE(Added.ok()) << Added;
+  EXPECT_FALSE(Engine.solver().readShareable());
   EXPECT_EQ(Engine.counters().Additions, 1u);
   EXPECT_EQ(Engine.journal().size(), 1u);
-  EXPECT_EQ(Engine.pts(Y), std::vector<std::string>{"b"});
-  EXPECT_EQ(Engine.counters().CacheHits, 2u);
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 0u);
-  EXPECT_EQ(Engine.pts(X), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 1u);
+  EXPECT_EQ(ask(Engine, "pts Y"), "ok { b }");
+  EXPECT_TRUE(Engine.solver().readShareable());
+  EXPECT_EQ(ask(Engine, "pts X"), "ok { a, b }");
 
   // Declarations work through the same incremental door.
   ASSERT_TRUE(Engine.addConstraint("var Z").ok());
   ASSERT_TRUE(Engine.addConstraint("cons c").ok());
   ASSERT_TRUE(Engine.addConstraint("c <= Z").ok());
-  VarId Z = Engine.varOf("Z");
-  ASSERT_NE(Z, QueryEngine::NotFound);
-  EXPECT_EQ(Engine.pts(Z), std::vector<std::string>{"c"});
+  EXPECT_EQ(ask(Engine, "pts Z"), "ok { c }");
 
   // Malformed and unresolvable lines are rejected without state damage,
   // with the error taxonomy distinguishing parse from precondition.
@@ -134,34 +133,17 @@ TEST(QueryEngineTest, CacheCountersAndInvalidation) {
   EXPECT_EQ(Bad.code(), ErrorCode::ParseError);
   Status Dup = Engine.addConstraint("var Z"); // duplicate name
   EXPECT_FALSE(Dup.ok());
-  EXPECT_EQ(Engine.pts(Z), std::vector<std::string>{"c"});
+  EXPECT_EQ(ask(Engine, "pts Z"), "ok { c }");
   EXPECT_EQ(Engine.journal().size(), 4u); // rejected lines not journaled
 }
 
-TEST(QueryEngineTest, LruEvictionIsBounded) {
-  const char *Text = "cons a\n"
-                     "cons b\n"
-                     "cons c\n"
-                     "var X Y Z\n"
-                     "a <= X\n"
-                     "b <= Y\n"
-                     "c <= Z\n";
-  TextSystem Sys(Text, makeConfig(GraphForm::Standard, CycleElim::None));
-  ASSERT_TRUE(Sys.Error.empty()) << Sys.Error;
-  QueryEngine Engine(Sys.take(), /*CacheCapacity=*/2);
-  ASSERT_TRUE(Engine.valid());
-
-  VarId X = Engine.varOf("X"), Y = Engine.varOf("Y"), Z = Engine.varOf("Z");
-  (void)Engine.pts(X);
-  (void)Engine.pts(Y);
-  EXPECT_EQ(Engine.cacheEvictions(), 0u);
-  (void)Engine.pts(Z); // evicts X, the least recently used
-  EXPECT_EQ(Engine.cacheEvictions(), 1u);
-  EXPECT_EQ(Engine.cacheSize(), 2u);
-  (void)Engine.pts(Y); // still resident
-  EXPECT_EQ(Engine.counters().CacheHits, 1u);
-  EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"}); // rebuilt
-  EXPECT_EQ(Engine.counters().CacheMisses, 4u);
+TEST(RenderTest, SplitSetInvertsRenderSet) {
+  for (const std::vector<std::string> &Items :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"a"},
+        std::vector<std::string>{"a", "b"},
+        std::vector<std::string>{"ref(l, X, X)", "c", "f(g(x, y), z)"}})
+    EXPECT_EQ(render::splitSet(render::renderSet(Items)), Items);
 }
 
 //===----------------------------------------------------------------------===//
@@ -293,13 +275,10 @@ void runEquivalence(const SolverOptions &Options, uint64_t ScriptSeed,
   // Query answers agree too.
   QueryEngine FreshEngine(Fresh.take());
   ASSERT_TRUE(FreshEngine.valid()) << Context;
-  for (const char *Name : {"x0", "x7", "x29", "y0", "y1"}) {
-    VarId F = FreshEngine.varOf(Name), I = Engine.varOf(Name);
-    ASSERT_NE(F, QueryEngine::NotFound) << Context << " " << Name;
-    ASSERT_NE(I, QueryEngine::NotFound) << Context << " " << Name;
-    EXPECT_EQ(FreshEngine.pts(F), Engine.pts(I)) << Context << " " << Name;
-    EXPECT_EQ(FreshEngine.ls(F), Engine.ls(I)) << Context << " " << Name;
-  }
+  for (const std::string Name : {"x0", "x7", "x29", "y0", "y1"})
+    for (const char *Verb : {"pts ", "ls "})
+      EXPECT_EQ(ask(FreshEngine, Verb + Name), ask(Engine, Verb + Name))
+          << Context << " " << Name;
 }
 
 TEST(QueryEngineTest, IncrementalMatchesFreshSolve) {
@@ -374,23 +353,24 @@ TEST(TelemetryTest, StatsReplyFieldsAndMonotonicity) {
 TEST(TelemetryTest, CountersReplyReadsTheHistogram) {
   QueryEngine Engine = makeTelemetryEngine();
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
-  VarId X = Engine.varOf("X");
-  ASSERT_NE(X, QueryEngine::NotFound);
-  (void)Engine.ls(X);
-  (void)Engine.ls(X);
+  ASSERT_TRUE(Engine.addConstraint("b <= X").ok());
+  // Engine reads record nothing: the count comes from the counter alone.
+  (void)ask(Engine, "ls X");
 
+  Counter Queries;
+  Queries.inc(5);
   Histogram Latency;
   for (uint64_t V : {10, 20, 30, 40, 1000})
     Latency.record(V);
-  std::string Reply = telemetry::buildCountersReply(Engine, Latency);
+  std::string Reply =
+      telemetry::buildCountersReply(Engine, Queries, Latency);
   ASSERT_EQ(Reply.rfind("ok ", 0), 0u) << Reply;
   auto Kv = parseKv(Reply);
-  for (const char *Key : {"queries", "hits", "misses", "stale",
-                          "additions", "evictions", "p50_us", "p99_us"})
+  for (const char *Key : {"queries", "additions", "p50_us", "p99_us"})
     EXPECT_TRUE(Kv.count(Key)) << "missing " << Key << " in: " << Reply;
-  EXPECT_EQ(Kv["queries"], "2");
-  EXPECT_EQ(Kv["hits"], "1");
-  EXPECT_EQ(Kv["misses"], "1");
+  EXPECT_EQ(Kv.size(), 4u) << Reply;
+  EXPECT_EQ(Kv["queries"], "5");
+  EXPECT_EQ(Kv["additions"], "1");
 
   // Percentile parity with the exact ceil-rank percentile: the log-bucket
   // estimate q satisfies exact <= q < 2 * exact.
@@ -406,9 +386,7 @@ TEST(TelemetryTest, CountersReplyReadsTheHistogram) {
 TEST(TelemetryTest, MetricsReplyIsFramedLintedPrometheus) {
   QueryEngine Engine = makeTelemetryEngine();
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
-  VarId X = Engine.varOf("X");
-  ASSERT_NE(X, QueryEngine::NotFound);
-  (void)Engine.pts(X);
+  telemetry::queriesCounter().inc();
   telemetry::queryLatencyHistogram().record(25);
 
   telemetry::ServerCounters Server;
@@ -421,14 +399,16 @@ TEST(TelemetryTest, MetricsReplyIsFramedLintedPrometheus) {
   ASSERT_GE(Reply.size(), 5u);
   EXPECT_EQ(Reply.substr(Reply.size() - 5), "# EOF");
 
-  // Every layer's series is present: solver, cache, WAL, latency.
+  // Every layer's series is present: solver, queries, WAL, latency.
   for (const char *Series :
        {"poce_solver_work", "poce_solver_cycles_collapsed",
-        "poce_query_requests_total", "poce_query_cache_misses_total",
-        "poce_serve_wal_records", "poce_query_latency_us_bucket",
-        "poce_query_latency_us_count"})
+        "poce_net_queries_total", "poce_serve_wal_records",
+        "poce_net_query_latency_us_bucket",
+        "poce_net_query_latency_us_count"})
     EXPECT_NE(Reply.find(Series), std::string::npos)
         << "missing series " << Series;
+  // Queries are counted once, in the front ends' poce_net_* series.
+  EXPECT_EQ(Reply.find("poce_query_"), std::string::npos);
 
   // Structural lint of the payload: every series line is `name value`
   // with a numeric value, histogram buckets are cumulative and end at
@@ -470,8 +450,8 @@ TEST(TelemetryTest, MetricsReplyIsFramedLintedPrometheus) {
 TEST(QueryEngineTest, RetractionInvalidatesCacheDespiteEqualPopcount) {
   // Regression for the popcount cache fingerprint: retract {a} then add
   // {b} and the solution bitmap returns to population count 1 with a
-  // different member. The old fingerprint scheme would have served the
-  // stale "{ a }" view from cache; the mutation-epoch key must not.
+  // different member. A cache keyed on popcount would serve the stale
+  // "{ a }"; the solver's settled views must not.
   const char *Text = "cons a\n"
                      "cons b\n"
                      "var X\n"
@@ -481,13 +461,11 @@ TEST(QueryEngineTest, RetractionInvalidatesCacheDespiteEqualPopcount) {
     ASSERT_TRUE(Sys.Error.empty()) << Sys.Error;
     QueryEngine Engine(Sys.take());
     ASSERT_TRUE(Engine.valid()) << Engine.initError();
-    VarId X = Engine.varOf("X");
 
-    EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"}); // Cached.
+    EXPECT_EQ(ask(Engine, "pts X"), "ok { a }"); // Settled.
     ASSERT_TRUE(Engine.retractConstraint("a <= X").ok());
     ASSERT_TRUE(Engine.addConstraint("b <= X").ok());
-    EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"b"});
-    EXPECT_EQ(Engine.counters().StaleRebuilds, 1u);
+    EXPECT_EQ(ask(Engine, "pts X"), "ok { b }");
     EXPECT_EQ(Engine.counters().Retractions, 1u);
 
     // The journal carries the retraction as a WAL v3 record payload.
@@ -517,8 +495,7 @@ TEST(QueryEngineTest, RetractErrorsAndCanonicalization) {
   EXPECT_FALSE(Engine.checkRetract("nope <= X").ok());
 
   ASSERT_TRUE(Engine.retractConstraint("a <= X \t").ok());
-  VarId X = Engine.varOf("X");
-  EXPECT_EQ(Engine.pts(X), std::vector<std::string>{});
+  EXPECT_EQ(ask(Engine, "pts X"), "ok {}");
   // Retracting twice: the constraint is gone.
   EXPECT_EQ(Engine.retractConstraint("a <= X").code(), ErrorCode::NotFound);
 }
@@ -535,9 +512,8 @@ TEST(QueryEngineTest, RollbackReplaysJournaledRetractions) {
 
   ASSERT_TRUE(Engine.addConstraint("A <= B").ok());
   ASSERT_TRUE(Engine.retractConstraint("s <= A").ok());
-  VarId A = Engine.varOf("A"), B = Engine.varOf("B");
-  EXPECT_EQ(Engine.pts(A), std::vector<std::string>{});
-  EXPECT_EQ(Engine.pts(B), std::vector<std::string>{});
+  EXPECT_EQ(ask(Engine, "pts A"), "ok {}");
+  EXPECT_EQ(ask(Engine, "pts B"), "ok {}");
 
   // A chain whose flooding exceeds a minimal per-batch work budget.
   ASSERT_TRUE(Engine.addConstraint("var C0").ok());
@@ -555,10 +531,8 @@ TEST(QueryEngineTest, RollbackReplaysJournaledRetractions) {
   EXPECT_EQ(Engine.counters().Rollbacks, 1u);
 
   // The rollback replayed the journal — adds AND the retraction.
-  A = Engine.varOf("A");
-  B = Engine.varOf("B");
-  EXPECT_EQ(Engine.pts(A), std::vector<std::string>{});
-  EXPECT_EQ(Engine.pts(B), std::vector<std::string>{});
+  EXPECT_EQ(ask(Engine, "pts A"), "ok {}");
+  EXPECT_EQ(ask(Engine, "pts B"), "ok {}");
   EXPECT_FALSE(Engine.solver().hasRootTag("s <= A"));
   EXPECT_TRUE(Engine.solver().hasRootTag("A <= B"));
 }
@@ -584,8 +558,7 @@ TEST(QueryEngineTest, SnapshotRoundTripPreservesProvenance) {
   // The reloaded solver still knows both tags and can retract one.
   EXPECT_TRUE(Warm.solver().hasRootTag("a <= X"));
   ASSERT_TRUE(Warm.retractConstraint("a <= X").ok());
-  VarId X = Warm.varOf("X");
-  EXPECT_EQ(Warm.pts(X), std::vector<std::string>{"b"});
+  EXPECT_EQ(ask(Warm, "pts X"), "ok { b }");
 }
 
 } // namespace

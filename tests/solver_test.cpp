@@ -10,6 +10,15 @@
 
 using namespace poce;
 
+namespace poce {
+// gtest lists a parameterized case as "<name> # GetParam() = <value>".
+// Without a printer SolverOptions is dumped as raw bytes, padding
+// included, so the listed case names would change from run to run.
+void PrintTo(const SolverOptions &Options, std::ostream *OS) {
+  *OS << Options.configName();
+}
+} // namespace poce
+
 namespace {
 
 /// A small harness owning the tables a test solver needs.

@@ -11,10 +11,8 @@
 #include "support/DenseU64Set.h"
 #include "support/FailPoint.h"
 #include "support/Format.h"
-#include "support/LruCache.h"
 #include "support/PRNG.h"
 #include "support/SmallVector.h"
-#include "support/Statistic.h"
 #include "support/Status.h"
 #include "support/StringInterner.h"
 #include "support/Timer.h"
@@ -366,7 +364,7 @@ TEST(StringInternerTest, StableIdsInFirstSeenOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timer, Statistic, Format, CommandLine
+// Timer, Format, CommandLine
 //===----------------------------------------------------------------------===//
 
 TEST(TimerTest, MeasuresElapsedTime) {
@@ -391,16 +389,6 @@ TEST(TimerTest, BestOfZeroRepeatsIsZeroNotSentinel) {
   double Best = bestOfN(0, [&] { ++Runs; });
   EXPECT_EQ(Runs, 0);
   EXPECT_EQ(Best, 0.0); // Not the internal -1.0 "no sample yet" marker.
-}
-
-TEST(StatisticTest, CountsAndResets) {
-  static Statistic Counter("test", "A test counter");
-  Counter.reset();
-  ++Counter;
-  Counter += 4;
-  EXPECT_EQ(Counter.value(), 5u);
-  resetAllStatistics();
-  EXPECT_EQ(Counter.value(), 0u);
 }
 
 TEST(FormatTest, GroupedNumbers) {
@@ -458,141 +446,6 @@ TEST(CommandLineTest, RejectsUnknownOptionAndBadValues) {
   Cmd2.addInt("int", &Int, "an int");
   const char *Bad[] = {"tool", "--int=xyz"};
   EXPECT_FALSE(Cmd2.parse(2, Bad));
-}
-
-//===----------------------------------------------------------------------===//
-// ArrayRef
-//===----------------------------------------------------------------------===//
-
-#include "support/ArrayRef.h"
-
-TEST(ArrayRefTest, ConstructionFromEverySource) {
-  int CArray[] = {1, 2, 3};
-  std::vector<int> Vec = {4, 5};
-  SmallVector<int, 4> Small = {6, 7, 8};
-  int Single = 9;
-
-  ArrayRef<int> FromC(CArray);
-  EXPECT_EQ(FromC.size(), 3u);
-  EXPECT_EQ(FromC[2], 3);
-
-  ArrayRef<int> FromVec(Vec);
-  EXPECT_EQ(FromVec.size(), 2u);
-  EXPECT_EQ(FromVec.front(), 4);
-
-  ArrayRef<int> FromSmall(Small);
-  EXPECT_EQ(FromSmall.back(), 8);
-
-  ArrayRef<int> FromSingle(Single);
-  EXPECT_EQ(FromSingle.size(), 1u);
-  EXPECT_EQ(FromSingle[0], 9);
-
-  ArrayRef<int> Empty;
-  EXPECT_TRUE(Empty.empty());
-}
-
-TEST(ArrayRefTest, SliceDropAndEquality) {
-  int Data[] = {0, 1, 2, 3, 4, 5};
-  ArrayRef<int> Ref(Data);
-  ArrayRef<int> Middle = Ref.slice(1, 3);
-  ASSERT_EQ(Middle.size(), 3u);
-  EXPECT_EQ(Middle[0], 1);
-  EXPECT_EQ(Middle[2], 3);
-  // Count clamps to the end.
-  EXPECT_EQ(Ref.slice(4, 100).size(), 2u);
-  EXPECT_EQ(Ref.dropFront(2).front(), 2);
-  EXPECT_EQ(Ref.dropBack(2).back(), 3);
-  EXPECT_EQ(Ref.dropFront(6).size(), 0u);
-
-  int Same[] = {1, 2, 3};
-  int Different[] = {1, 2, 4};
-  EXPECT_TRUE(ArrayRef<int>(Same) == Ref.slice(1, 3));
-  EXPECT_TRUE(ArrayRef<int>(Different) != Ref.slice(1, 3));
-}
-
-TEST(ArrayRefTest, IterationAndVec) {
-  std::vector<int> Source = {10, 20, 30};
-  ArrayRef<int> Ref = makeArrayRef(Source);
-  int Sum = 0;
-  for (int Value : Ref)
-    Sum += Value;
-  EXPECT_EQ(Sum, 60);
-  std::vector<int> Copy = Ref.vec();
-  EXPECT_EQ(Copy, Source);
-}
-
-//===----------------------------------------------------------------------===//
-// LruCache
-//===----------------------------------------------------------------------===//
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int, std::string> Cache(2);
-  Cache.put(1, "one");
-  Cache.put(2, "two");
-  ASSERT_NE(Cache.get(1), nullptr); // 1 becomes most recent
-  Cache.put(3, "three");            // evicts 2
-  EXPECT_EQ(Cache.get(2), nullptr);
-  ASSERT_NE(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(1), "one");
-  ASSERT_NE(Cache.get(3), nullptr);
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, PutOverwritesInPlace) {
-  LruCache<int, int> Cache(2);
-  Cache.put(1, 10);
-  Cache.put(2, 20);
-  Cache.put(1, 11); // overwrite, no eviction
-  EXPECT_EQ(Cache.evictions(), 0u);
-  EXPECT_EQ(*Cache.get(1), 11);
-  Cache.put(3, 30); // now 2 is the victim (1 was refreshed by put)
-  EXPECT_EQ(Cache.get(2), nullptr);
-  EXPECT_EQ(*Cache.get(1), 11);
-}
-
-TEST(LruCacheTest, EraseAndClear) {
-  LruCache<int, int> Cache(4);
-  for (int I = 0; I != 4; ++I)
-    Cache.put(I, I * I);
-  Cache.erase(2);
-  EXPECT_EQ(Cache.get(2), nullptr);
-  EXPECT_EQ(Cache.size(), 3u);
-  Cache.clear();
-  EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.get(0), nullptr);
-  Cache.put(9, 81); // usable after clear
-  EXPECT_EQ(*Cache.get(9), 81);
-}
-
-TEST(LruCacheTest, MinimumCapacityIsOne) {
-  LruCache<int, int> Cache(0); // clamped to 1
-  EXPECT_EQ(Cache.capacity(), 1u);
-  Cache.put(1, 10);
-  Cache.put(2, 20);
-  EXPECT_EQ(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(2), 20);
-  EXPECT_EQ(Cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, CapacityOneFullLifecycle) {
-  LruCache<int, int> Cache(1);
-  EXPECT_EQ(Cache.capacity(), 1u);
-  EXPECT_EQ(Cache.get(1), nullptr); // miss on empty
-  Cache.put(1, 10);
-  EXPECT_EQ(*Cache.get(1), 10);
-  Cache.put(1, 11); // overwrite in place, no eviction
-  EXPECT_EQ(*Cache.get(1), 11);
-  EXPECT_EQ(Cache.evictions(), 0u);
-  Cache.put(2, 20); // evicts the sole entry
-  EXPECT_EQ(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(2), 20);
-  EXPECT_EQ(Cache.evictions(), 1u);
-  EXPECT_EQ(Cache.size(), 1u);
-  Cache.erase(2);
-  EXPECT_EQ(Cache.size(), 0u);
-  Cache.put(3, 30); // usable after erase
-  EXPECT_EQ(*Cache.get(3), 30);
 }
 
 //===----------------------------------------------------------------------===//
