@@ -10,7 +10,7 @@
 /// problem is deciding the frequency at which to perform simplifications")
 /// that online elimination removes. This bench implements periodic offline
 /// SCC collapsing and sweeps its interval against IF-Online on a suite
-/// subset: too-frequent passes pay repeated whole-graph Tarjan costs,
+/// subset: too-frequent passes pay repeated whole-graph SCC costs,
 /// too-rare passes leave cyclic work in place, and no interval beats the
 /// tuning-free online strategy.
 ///

@@ -25,10 +25,10 @@
 ///                                    --emit_trajectory=PATH)
 ///
 /// Environment: POCE_BENCH_SCALE scales the workload. Trajectory entries
-/// carry a single-CPU caveat: on a one-core container the primary's
-/// lanes, the follower's lanes, and the replication tail all time-share
-/// one core, so the catch-up time includes scheduler queueing that a
-/// two-host deployment would not see.
+/// record the host's CPU count (`nproc`): the primary's lanes, the
+/// follower's lanes, and the replication tail all share those CPUs, so
+/// the catch-up time includes scheduler queueing that a two-host
+/// deployment would not see.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -422,11 +422,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(
         File,
         "  {\"timestamp\": \"%s\", \"mode\": \"repl_bench\",\n"
-        "   \"scale\": %.2f,\n"
-        "   \"note\": \"single-CPU container: primary, follower, and "
-        "the replication tail time-share one core, so catch-up time "
-        "includes scheduler queueing a two-host deployment would not "
-        "see\",\n"
+        "   \"scale\": %.2f, \"nproc\": %u,\n"
+        "   \"note\": \"primary, follower, and the replication tail "
+        "share one host's CPUs, so catch-up time includes scheduler "
+        "queueing a two-host deployment would not see\",\n"
         "   \"entries\": [\n"
         "    {\"name\": \"repl_catchup\", \"vars\": %u, \"base_cons\": "
         "%u,\n"
@@ -435,7 +434,8 @@ int main(int Argc, char **Argv) {
         "     \"fresh_solve_s\": %.6f, \"speedup_vs_fresh\": %.3f,\n"
         "     \"answers_checksum_match\": %s}\n"
         "   ]}\n  ]\n}\n",
-        bench::utcTimestamp().c_str(), Scale, Vars, Cons, Records,
+        bench::utcTimestamp().c_str(), Scale,
+        std::thread::hardware_concurrency(), Vars, Cons, Records,
         (unsigned long long)SnapBytes, (unsigned long long)Applied,
         CatchupS, FreshS, Speedup, ChecksumMatch ? "true" : "false");
     std::fclose(File);

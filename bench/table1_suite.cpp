@@ -20,7 +20,7 @@
 
 #include "BenchCommon.h"
 
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 
 using namespace poce;
 using namespace poce::bench;

@@ -18,7 +18,7 @@
 
 #include "andersen/Andersen.h"
 #include "graph/DotWriter.h"
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 #include "setcon/Oracle.h"
 #include "support/Format.h"
 #include "workload/Suite.h"

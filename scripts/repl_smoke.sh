@@ -103,6 +103,12 @@ grep -q '^err read_only ' "$WORK/ro.out" ||
     ncf > "$WORK/reader.out" 2> /dev/null || true
 } &
 READER=$!
+# Wait (at most 10 s) for the reader's first answer, so it is live before
+# the writes start and its base-state reply is on file before the kill.
+for _ in $(seq 200); do
+  grep -q '^ok { nx, ny }$' "$WORK/reader.out" 2> /dev/null && break
+  sleep 0.05
+done
 {
   for k in $(seq 0 24); do
     printf 'add cons w%s\nadd w%s <= P\n' "$k" "$k"

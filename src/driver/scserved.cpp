@@ -16,16 +16,23 @@
 ///   scserved --snapshot=graph.snap --unix=/tmp/poce.sock --net-lanes=4
 ///   scserved --snapshot=graph.snap --listen=127.0.0.1:7075
 ///
-/// The writer pipeline (WAL recovery, append-before-apply, budget
-/// rollback, atomic checkpoints, degraded mode) lives in
-/// serve/ServerCore and is shared verbatim between the stdin loop and
-/// the socket front end (net/Server.h). So is the read path: both front
-/// ends answer ls/pts/alias with serve::answerQuery(). In socket mode,
-/// reads execute concurrently on a thread-pool wave against an immutable
-/// published ReadView while a single writer lane owns the core — queries
-/// never block on adds; see net/Server.h for the full concurrency story.
-/// The stdin loop reads the writer's own solver, settled once after each
+/// Both front ends — the stdin loop and the socket server (StdinSession
+/// and NetServer in net/Server.h) — route requests through one verb table
+/// (serve/Protocol.h), answer ls/pts/alias with serve::answerQuery(),
+/// and hand every other verb to the writer pipeline in serve/ServerCore
+/// (WAL recovery, append-before-apply, budget rollback, atomic
+/// checkpoints, degraded mode). In socket mode, reads execute
+/// concurrently on a thread-pool wave against an immutable published
+/// ReadView while a single writer lane owns the core — queries never
+/// block on adds; see net/Server.h for the full concurrency story. The
+/// stdin loop reads the writer's own solver, settled once after each
 /// mutation.
+///
+/// The server always closes adds with the eager worklist and runs no
+/// offline preprocessing. Wave closure rebuilds its order on every
+/// single-line add, and offline HVN merges would turn later adds into a
+/// sound over-approximation instead of the least solution; both stay
+/// experiment variables of `anders` and `scsolve`.
 ///
 /// Fault tolerance (see INTERNALS.md for the recovery invariant):
 ///   - With --wal, every accepted `add` line is validated (dry-run parse)
@@ -84,19 +91,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "net/Framing.h"
 #include "net/Replication.h"
 #include "net/Server.h"
 #include "serve/GraphSnapshot.h"
 #include "serve/QueryEngine.h"
 #include "serve/ServerCore.h"
-#include "serve/Telemetry.h"
 #include "serve/Wal.h"
 #include "support/CommandLine.h"
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 #include "support/Status.h"
-#include "support/Trace.h"
 
 #include <cerrno>
 #include <csignal>
@@ -107,7 +111,6 @@
 #include <sstream>
 #include <string>
 #include <unistd.h>
-#include <vector>
 
 using namespace poce;
 using namespace poce::serve;
@@ -182,8 +185,6 @@ int main(int Argc, char **Argv) {
   std::string WalPath;
   std::string DumpWal;
   std::string Config = "if-online";
-  std::string Closure = "worklist";
-  std::string Preprocess = "none";
   int64_t Seed = 0x706f6365;
   int64_t Threads = 1;
   int64_t DeadlineMs = 0;
@@ -208,16 +209,6 @@ int main(int Argc, char **Argv) {
   Cmd.addString("dump-wal", &DumpWal,
                 "print the intact lines of this WAL and exit");
   Cmd.addString("config", &Config, "{sf,if}-{plain,online} for .scs input");
-  Cmd.addString("closure", &Closure,
-                "closure schedule for adds: worklist (eager) or wave "
-                "(topo-ordered delta sweeps); responses are identical. "
-                "Applies to snapshot and .scs bases alike (the schedule "
-                "is not serialized)");
-  Cmd.addString("preprocess", &Preprocess,
-                "pre-solve pass for .scs input: none or offline (HVN + "
-                "Nuutila SCC variable substitution before the first "
-                "closure); responses are identical. Snapshot bases load "
-                "already closed, so there the option is only recorded");
   Cmd.addInt("seed", &Seed, "variable-order seed for .scs input");
   Cmd.addInt("threads", &Threads,
              "lanes for least-solution materialization on load "
@@ -270,18 +261,6 @@ int main(int Argc, char **Argv) {
   if (!DumpWal.empty())
     return dumpWal(DumpWal);
 
-  if (Closure != "worklist" && Closure != "wave") {
-    std::fprintf(stderr, "scserved: unknown closure schedule '%s'\n",
-                 Closure.c_str());
-    return 1;
-  }
-
-  if (Preprocess != "none" && Preprocess != "offline") {
-    std::fprintf(stderr, "scserved: unknown preprocess mode '%s'\n",
-                 Preprocess.c_str());
-    return 1;
-  }
-
   if (CheckpointEvery > 0 && (Snapshot.empty() || WalPath.empty())) {
     std::fprintf(stderr,
                  "scserved: --checkpoint-every requires --snapshot and "
@@ -290,10 +269,10 @@ int main(int Argc, char **Argv) {
   }
 
   // Follower mode: the primary's snapshot/WAL pair is the replicated
-  // unit, so the local pair and a socket listener are mandatory, and the
-  // closure/preprocess flags are ignored — the follower adopts the
-  // primary's serialized options wholesale so replayed adds take the
-  // exact same path and the states stay byte-identical.
+  // unit, so the local pair and a socket listener are mandatory. The
+  // follower adopts the primary's serialized options wholesale so
+  // replayed adds take the exact same path and the states stay
+  // byte-identical.
   std::string FollowTcp, FollowUnix;
   if (!Follow.empty()) {
     if (Follow.find(':') != std::string::npos)
@@ -310,10 +289,6 @@ int main(int Argc, char **Argv) {
                            "--unix (followers serve over sockets)\n");
       return 1;
     }
-    if (Closure != "worklist" || Preprocess != "none")
-      std::fprintf(stderr,
-                   "scserved: note: --closure/--preprocess are ignored "
-                   "under --follow (the primary's options are adopted)\n");
     if (::access(Snapshot.c_str(), F_OK) != 0) {
       Status Boot = net::ReplicationClient::coldBootstrap(
           FollowTcp, FollowUnix, Snapshot,
@@ -371,9 +346,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Options.Seed = static_cast<uint64_t>(Seed);
-    // Armed pre-construction so the .scs bulk load defers into the pass.
-    if (Preprocess == "offline")
-      Options.Preprocess = PreprocessMode::Offline;
     Bundle.Constructors = std::make_unique<ConstructorTable>();
     Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
     Bundle.Solver = std::make_unique<ConstraintSolver>(*Bundle.Terms, Options);
@@ -381,17 +353,6 @@ int main(int Argc, char **Argv) {
   }
 
   Bundle.Solver->setThreads(static_cast<unsigned>(Threads));
-  // Snapshots never carry the closure schedule (the loaded graph is
-  // already closed); re-arm it here so subsequent adds use it. Followers
-  // skip both re-arms: their state must stay byte-identical to the
-  // primary's, so the options ride in with every shipped snapshot.
-  if (Closure == "wave" && Follow.empty())
-    Bundle.Solver->setClosure(ClosureMode::Wave);
-  // Snapshots never carry the preprocess option either; re-arm it so the
-  // recorded configuration matches the flags (on a warm base the pass
-  // itself never re-runs — incremental adds stay online).
-  if (Preprocess == "offline" && Follow.empty())
-    Bundle.Solver->setPreprocess(PreprocessMode::Offline);
   Bundle.Solver->materializeAllViews();
 
   ServerCoreConfig CoreConfig;
@@ -480,72 +441,18 @@ int main(int Argc, char **Argv) {
     return Exit;
   }
 
-  // Stdin mode. Framing goes through net::LineBuffer so the size limit
-  // is enforced streamingly (the reply text matches the old whole-line
-  // check), and the read loop is plain read(2) so a SIGTERM's EINTR
+  // Stdin mode: net::StdinSession frames and answers exactly as the
+  // socket front end does; the read loop is plain read(2) so a SIGTERM's EINTR
   // breaks an idle wait.
-  uint64_t RequestsHandled = 0;
-  auto DumpMetrics = [&]() {
-    if (MetricsOut.empty())
-      return;
-    Status Written = Core.dumpMetricsTo(MetricsOut);
-    if (!Written)
-      std::fprintf(stderr, "scserved: metrics dump failed: %s\n",
-                   Written.toString().c_str());
-  };
-  auto Reply = [](const std::string &Line) {
-    std::fputs(Line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  };
-  auto ReplyErr = [&Reply](const Status &St) { Reply("err " + St.wire()); };
-
-  // Returns false when the loop should stop (quit or shutdown).
-  auto HandleLine = [&](const std::string &Line) -> bool {
-    Request Req = parseRequest(Line);
-    if (Req.Verb.empty() || Req.Verb[0] == '#')
-      return true;
-
-    ++RequestsHandled;
-    if (MetricsEvery > 0 &&
-        RequestsHandled % static_cast<uint64_t>(MetricsEvery) == 0)
-      DumpMetrics();
-
-    if (Req.Verb == "quit" || Req.Verb == "exit") {
-      Reply("ok bye");
-      return false;
-    }
-    if (Req.Verb == "help") {
-      Reply("ok commands: ls X | pts X | alias X Y | add LINE | "
-            "retract LINE | save PATH | checkpoint [PATH] | stats | "
-            "counters | metrics | verify | shutdown | help | quit");
-      return true;
-    }
-    if (isQueryVerb(Req.Verb)) {
-      const uint64_t StartUs = trace::nowMicros();
-      std::string Response = Engine.answer(Req);
-      telemetry::queriesCounter().inc();
-      telemetry::queryLatencyHistogram().record(trace::nowMicros() -
-                                                StartUs);
-      trace::complete("serve.query", StartUs);
-      Reply(Response);
-      return true;
-    }
-
-    std::string WriterReply;
-    if (Core.handleWriterVerb(Req, WriterReply)) {
-      Reply(WriterReply);
-      return !Core.shutdownRequested();
-    }
-
-    ReplyErr(Status::error(ErrorCode::InvalidArgument,
-                           "unknown verb '" + Req.Verb + "'; try help"));
-    return true;
-  };
-
-  net::LineBuffer In(static_cast<size_t>(MaxRequest));
-  bool Running = true;
-  while (Running) {
+  net::StdinSession Session(
+      Core, static_cast<size_t>(MaxRequest),
+      [](const std::string &Line) {
+        std::fputs(Line.c_str(), stdout);
+        std::fputc('\n', stdout);
+        std::fflush(stdout);
+      },
+      MetricsOut, static_cast<uint64_t>(MetricsEvery));
+  for (;;) {
     char Buf[4096];
     ssize_t N = ::read(STDIN_FILENO, Buf, sizeof(Buf));
     if (N < 0) {
@@ -555,29 +462,12 @@ int main(int Argc, char **Argv) {
     }
     if (N == 0)
       break; // EOF.
-    In.append(Buf, static_cast<size_t>(N));
-    std::string Item;
-    for (;;) {
-      net::LineBuffer::Item Kind = In.next(Item);
-      if (Kind == net::LineBuffer::Item::None)
-        break;
-      if (Kind == net::LineBuffer::Item::Oversized) {
-        ReplyErr(Status::error(ErrorCode::TooLarge,
-                               "request is " + Item + " bytes; limit is " +
-                                   std::to_string(MaxRequest)));
-        continue;
-      }
-      if (!HandleLine(Item)) {
-        Running = false;
-        break;
-      }
-    }
-    if (TermRequested)
+    if (!Session.feed(Buf, static_cast<size_t>(N)) || TermRequested)
       break;
   }
   // Common drain: every acknowledged add is already fsynced, so closing
   // the WAL cleanly plus the final metrics dump is the whole shutdown.
-  DumpMetrics();
+  Core.dumpMetricsTo(MetricsOut);
   Core.shutdownDrain();
   return 0;
 }

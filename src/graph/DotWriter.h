@@ -14,7 +14,7 @@
 #define POCE_GRAPH_DOTWRITER_H
 
 #include "graph/Digraph.h"
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 
 #include <functional>
 #include <string>

@@ -8,6 +8,7 @@
 
 #include "net/Replication.h"
 #include "net/Socket.h"
+#include "serve/Protocol.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -32,17 +33,6 @@ namespace {
 std::atomic<int> GStopFd{-1};
 /// Set by requestStop() so a stop that races init() is not lost.
 std::atomic<bool> GStopRequested{false};
-
-bool isLocalVerb(const std::string &Verb) {
-  return Verb == "help" || Verb == "quit" || Verb == "exit";
-}
-
-const char *helpReply() {
-  return "ok commands: ls X | pts X | alias X Y | add LINE | "
-         "retract LINE | save PATH | checkpoint [PATH] | stats | counters | "
-         "metrics | verify | replicate BASE SEQ | promote | shutdown | help | "
-         "quit";
-}
 
 } // namespace
 
@@ -353,41 +343,35 @@ void NetServer::dispatch() {
       Task.Gen = C.Gen;
       if (Oversized) {
         OversizedTotal->inc();
-        Task.Reply =
-            "err " + Status::error(ErrorCode::TooLarge,
-                                   "request is " + Line +
-                                       " bytes; limit is " +
-                                       std::to_string(Opts.MaxRequest))
-                         .wire();
+        Task.Reply = serve::tooLargeReply(Line, Opts.MaxRequest);
         Batch.push_back(std::move(Task));
         continue;
       }
       serve::Request Req = serve::parseRequest(Line);
-      if (Req.Verb.empty() || Req.Verb[0] == '#')
+      serve::VerbClass Class = serve::classifyVerb(Req.Verb);
+      if (Class == serve::VerbClass::Skip)
         continue; // Blank/comment lines get no reply, as on stdin.
-      if (serve::isQueryVerb(Req.Verb)) {
+      if (Class == serve::VerbClass::Query) {
         Task.IsQuery = true;
-        Task.Line = std::move(Line);
+        Task.Req = std::move(Req);
         Batch.push_back(std::move(Task));
         continue;
       }
-      if (isLocalVerb(Req.Verb)) {
-        bool IsQuit = Req.Verb != "help";
-        Task.Reply = IsQuit ? "ok bye" : helpReply();
-        Task.CloseConn = IsQuit;
+      if (Class != serve::VerbClass::Writer) {
+        Task.Reply = serve::localReply(Class, /*Socket=*/true);
+        Task.CloseConn = Class == serve::VerbClass::Quit;
         Batch.push_back(std::move(Task));
-        if (IsQuit)
+        if (Class == serve::VerbClass::Quit)
           break;
         continue;
       }
-      // Everything else (add/save/checkpoint/stats/counters/metrics/
-      // shutdown, and unknown verbs) belongs to the writer lane.
+      // Writer verbs (unknown ones included) belong to the writer lane.
       // Head-of-line: this connection's later requests wait for the
       // completion so its replies arrive in request order.
       WriterJob Job;
       Job.Fd = C.Fd;
       Job.Gen = C.Gen;
-      Job.Line = std::move(Line);
+      Job.Req = std::move(Req);
       NewJobs.push_back(std::move(Job));
       C.AwaitingWriter = true;
       break;
@@ -463,8 +447,8 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
           return;
         LaneAccum &Accum = LaneSlots[Lane].Value;
         const uint64_t StartUs = trace::nowMicros();
-        Task.Reply = serve::answerQuery(View->solver(), View->system(),
-                                        serve::parseRequest(Task.Line));
+        Task.Reply =
+            serve::answerQuery(View->solver(), View->system(), Task.Req);
         ++Accum.Queries;
         Accum.Errors += Task.Reply.rfind("err ", 0) == 0;
         Accum.LatenciesUs.push_back(trace::nowMicros() - StartUs);
@@ -664,12 +648,7 @@ int NetServer::run() {
   if (Writer.joinable())
     Writer.join();
   Core.shutdownDrain();
-  if (!Opts.MetricsOut.empty()) {
-    Status Dumped = Core.dumpMetricsTo(Opts.MetricsOut);
-    if (!Dumped)
-      std::fprintf(stderr, "scserved: metrics dump failed: %s\n",
-                   Dumped.toString().c_str());
-  }
+  Core.dumpMetricsTo(Opts.MetricsOut);
   if (!Opts.UnixPath.empty())
     ::unlink(Opts.UnixPath.c_str());
   return 0;
@@ -703,7 +682,7 @@ void NetServer::republish() {
 
 void NetServer::handleClientJob(WriterJob &Job, Completion &Comp,
                                 bool &Mutated) {
-  serve::Request Req = serve::parseRequest(Job.Line);
+  const serve::Request &Req = Job.Req;
   auto Err = [&Comp](const Status &St) { Comp.Reply = "err " + St.wire(); };
   if (Req.Verb == "replicate") {
     if (ReadOnlyNow.load(std::memory_order_acquire)) {
@@ -776,11 +755,7 @@ void NetServer::handleClientJob(WriterJob &Job, Completion &Comp,
                       "primary or promote this one"));
     return;
   }
-  if (!Core.handleWriterVerb(Req, Comp.Reply))
-    Comp.Reply = "err " + Status::error(ErrorCode::InvalidArgument,
-                                        "unknown verb '" + Req.Verb +
-                                            "'; try help")
-                              .wire();
+  Comp.Reply = Core.handleWriterVerb(Req);
   if ((Req.Verb == "add" && Comp.Reply == "ok added") ||
       (Req.Verb == "retract" && Comp.Reply == "ok retracted"))
     Mutated = true;
@@ -889,13 +864,8 @@ void NetServer::writerLoop() {
       Comp.Gen = Job.Gen;
       handleClientJob(Job, Comp, Mutated);
       ++WriterOps;
-      if (!Opts.MetricsOut.empty() && Opts.MetricsEvery > 0 &&
-          WriterOps % Opts.MetricsEvery == 0) {
-        Status Dumped = Core.dumpMetricsTo(Opts.MetricsOut);
-        if (!Dumped)
-          std::fprintf(stderr, "scserved: metrics dump failed: %s\n",
-                       Dumped.toString().c_str());
-      }
+      if (Opts.MetricsEvery > 0 && WriterOps % Opts.MetricsEvery == 0)
+        Core.dumpMetricsTo(Opts.MetricsOut);
       WriterOut.push_back(std::move(Comp));
     }
     // Ack-after-publish: the epoch containing this batch's additions is
@@ -928,5 +898,61 @@ void NetServer::writerLoop() {
     // connections enqueue during the drain still need completions (the
     // closed WAL makes further adds refuse on its own). The loop thread
     // stops the lane once the drain reaches quiescence.
+  }
+}
+
+StdinSession::StdinSession(serve::ServerCore &Core, size_t MaxRequest,
+                           std::function<void(const std::string &)> Reply,
+                           std::string MetricsOut, uint64_t MetricsEvery)
+    : Core(Core), In(MaxRequest), MaxRequest(MaxRequest),
+      Reply(std::move(Reply)), MetricsOut(std::move(MetricsOut)),
+      MetricsEvery(MetricsEvery) {}
+
+bool StdinSession::feed(const char *Data, size_t Len) {
+  In.append(Data, Len);
+  std::string Item;
+  for (;;) {
+    switch (In.next(Item)) {
+    case LineBuffer::Item::None:
+      return true;
+    case LineBuffer::Item::Oversized:
+      Reply(serve::tooLargeReply(Item, MaxRequest));
+      break;
+    case LineBuffer::Item::Line:
+      if (!handleLine(Item))
+        return false;
+      break;
+    }
+  }
+}
+
+bool StdinSession::handleLine(const std::string &Line) {
+  serve::Request Req = serve::parseRequest(Line);
+  serve::VerbClass Class = serve::classifyVerb(Req.Verb);
+  if (Class == serve::VerbClass::Skip)
+    return true;
+
+  ++RequestsHandled;
+  if (MetricsEvery > 0 && RequestsHandled % MetricsEvery == 0)
+    Core.dumpMetricsTo(MetricsOut);
+
+  switch (Class) {
+  case serve::VerbClass::Help:
+  case serve::VerbClass::Quit:
+    Reply(serve::localReply(Class, /*Socket=*/false));
+    return Class == serve::VerbClass::Help;
+  case serve::VerbClass::Query: {
+    const uint64_t StartUs = trace::nowMicros();
+    std::string Response = Core.engine().answer(Req);
+    serve::telemetry::queriesCounter().inc();
+    serve::telemetry::queryLatencyHistogram().record(trace::nowMicros() -
+                                                     StartUs);
+    trace::complete("serve.query", StartUs);
+    Reply(Response);
+    return true;
+  }
+  default:
+    Reply(Core.handleWriterVerb(Req));
+    return !Core.shutdownRequested();
   }
 }

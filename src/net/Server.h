@@ -1,14 +1,23 @@
-//===- net/Server.h - epoll front end for the serve protocol ----*- C++ -*-===//
+//===- net/Server.h - Front ends for the serve protocol ---------*- C++ -*-===//
 //
 // Part of the poce project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-client network front end: an edge-triggered epoll event
-/// loop accepting TCP and/or Unix-domain connections that speak the same
-/// newline verb protocol as scserved's stdin mode, with reads and writes
-/// split across threads so queries never block on adds:
+/// scserved's two front ends. Both frame requests with LineBuffer and
+/// route them through the one verb table (serve/Protocol.h), so they
+/// answer byte for byte alike; only `help` differs, by the socket-only
+/// verbs.
+///
+/// StdinSession is the stdin front end without its file descriptor:
+/// raw input bytes in, one reply line per request out, in request order.
+/// Its queries read the writer's own solver, settled once after each
+/// mutation (QueryEngine::answer()). Single-threaded.
+///
+/// NetServer is the multi-client network front end: an edge-triggered
+/// epoll event loop accepting TCP and/or Unix-domain connections, with
+/// reads and writes split across threads so queries never block on adds:
 ///
 ///   - The *event-loop thread* owns every socket: accept, non-blocking
 ///     framed reads (net/Framing.h), reply flushing with EPOLLOUT
@@ -57,6 +66,33 @@
 
 namespace poce {
 namespace net {
+
+/// scserved's stdin front end (see the file comment).
+class StdinSession {
+public:
+  /// \p Reply receives each reply line (without its newline) as soon as
+  /// it is ready. The registry is dumped to \p MetricsOut (if set) every
+  /// \p MetricsEvery requests (0 = never).
+  StdinSession(serve::ServerCore &Core, size_t MaxRequest,
+               std::function<void(const std::string &)> Reply,
+               std::string MetricsOut = "", uint64_t MetricsEvery = 0);
+
+  /// Frames \p Len input bytes and handles every request they complete.
+  /// Returns false once quit, exit or shutdown ends the session; the rest
+  /// of the input is then ignored.
+  bool feed(const char *Data, size_t Len);
+
+private:
+  bool handleLine(const std::string &Line);
+
+  serve::ServerCore &Core;
+  LineBuffer In;
+  size_t MaxRequest;
+  std::function<void(const std::string &)> Reply;
+  std::string MetricsOut;
+  uint64_t MetricsEvery;
+  uint64_t RequestsHandled = 0;
+};
 
 struct NetServerOptions {
   std::string TcpSpec;  ///< "host:port" listener ("" = no TCP).
@@ -163,8 +199,8 @@ private:
     uint64_t Gen = 0;
     bool IsQuery = false;
     bool CloseConn = false;
-    std::string Line;  ///< Request text (queries).
-    std::string Reply; ///< Filled by the wave (or precomputed).
+    serve::Request Req; ///< The parsed query (IsQuery).
+    std::string Reply;  ///< Filled by the wave (or precomputed).
   };
 
   /// Completion latch for the synchronous follower-side entry points.
@@ -185,7 +221,7 @@ private:
     Kind Kind = Kind::Client;
     int Fd = 0;
     uint64_t Gen = 0;
-    std::string Line;
+    serve::Request Req; ///< Client: the parsed request.
     std::vector<std::pair<uint64_t, std::string>> Records;
     std::vector<uint8_t> Bytes;
     uint64_t Base = 0;

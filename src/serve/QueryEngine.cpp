@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 using namespace poce;
 using namespace poce::serve;
@@ -106,28 +105,11 @@ std::vector<std::string> render::splitSet(const std::string &Set) {
   return Items;
 }
 
-Request serve::parseRequest(const std::string &Line) {
-  Request Req;
-  std::istringstream In(Line);
-  In >> Req.Verb >> Req.Arg1 >> Req.Arg2;
-  size_t VerbEnd = Line.find(Req.Verb);
-  if (VerbEnd != std::string::npos) {
-    size_t RestAt = VerbEnd + Req.Verb.size();
-    while (RestAt < Line.size() && Line[RestAt] == ' ')
-      ++RestAt;
-    Req.Rest = Line.substr(RestAt);
-  }
-  return Req;
-}
-
-bool serve::isQueryVerb(const std::string &Verb) {
-  return Verb == "ls" || Verb == "pts" || Verb == "alias";
-}
-
 std::string serve::answerQuery(const ConstraintSolver &Solver,
                                const ConstraintSystemFile &System,
                                const Request &Req) {
-  assert(isQueryVerb(Req.Verb) && "answerQuery serves ls/pts/alias only");
+  assert(classifyVerb(Req.Verb) == VerbClass::Query &&
+         "answerQuery serves ls/pts/alias only");
   auto Resolve = [&](const std::string &Name, VarId &Out) {
     uint32_t Index = System.varIndex(Name);
     if (Index == ConstraintSystemFile::NotFound ||

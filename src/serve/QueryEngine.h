@@ -37,6 +37,7 @@
 #define POCE_SERVE_QUERYENGINE_H
 
 #include "serve/GraphSnapshot.h"
+#include "serve/Protocol.h"
 #include "setcon/ConstraintFile.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/Status.h"
@@ -76,20 +77,6 @@ std::string renderSet(const std::vector<std::string> &Items);
 std::vector<std::string> splitSet(const std::string &Set);
 
 } // namespace render
-
-/// One parsed request line: a verb, up to two whitespace-split arguments,
-/// and the raw remainder after the verb (which preserves the spacing of
-/// `add` constraint payloads).
-struct Request {
-  std::string Verb, Arg1, Arg2, Rest;
-};
-
-/// Splits \p Line into a Request (the wire format of both the stdin and
-/// the socket protocol).
-Request parseRequest(const std::string &Line);
-
-/// True for the read verbs answerQuery() serves: ls, pts, alias.
-bool isQueryVerb(const std::string &Verb);
 
 /// The one read path of both front ends: the full reply line to an
 /// `ls X` / `pts X` / `alias X Y` request — "ok { ... }", "ok true" /

@@ -515,88 +515,69 @@ telemetry::ServerCounters ServerCore::counters() const {
   return S;
 }
 
-Status ServerCore::dumpMetricsTo(const std::string &Path) {
+void ServerCore::dumpMetricsTo(const std::string &Path) {
+  if (Path.empty())
+    return;
   MetricsRegistry &R = MetricsRegistry::global();
   Engine.solver().stats().exportTo(R);
   telemetry::exportServeMetrics(R, Engine, counters());
   std::string Json = R.renderJson() + "\n";
   std::vector<uint8_t> Bytes(Json.begin(), Json.end());
-  return writeFileAtomic(Path, Bytes);
+  Status Written = writeFileAtomic(Path, Bytes);
+  if (!Written)
+    std::fprintf(stderr, "scserved: metrics dump failed: %s\n",
+                 Written.toString().c_str());
 }
 
-bool ServerCore::handleWriterVerb(const Request &Req, std::string &Reply) {
-  auto Err = [&Reply](const Status &St) { Reply = "err " + St.wire(); };
-  if (Req.Verb == "stats") {
-    Reply = statsReply();
-    return true;
-  }
-  if (Req.Verb == "counters") {
-    Reply = countersReply();
-    return true;
-  }
-  if (Req.Verb == "metrics") {
-    Reply = metricsReply();
-    return true;
-  }
+std::string ServerCore::handleWriterVerb(const Request &Req) {
+  auto Err = [](const Status &St) { return "err " + St.wire(); };
+  if (Req.Verb == "stats")
+    return statsReply();
+  if (Req.Verb == "counters")
+    return countersReply();
+  if (Req.Verb == "metrics")
+    return metricsReply();
   if (Req.Verb == "save") {
-    if (Req.Arg1.empty()) {
-      Err(Status::error(ErrorCode::InvalidArgument, "save needs a path"));
-      return true;
-    }
+    if (Req.Arg1.empty())
+      return Err(
+          Status::error(ErrorCode::InvalidArgument, "save needs a path"));
     Expected<uint64_t> Bytes = save(Req.Arg1);
-    if (!Bytes.ok()) {
-      Err(Bytes.status());
-      return true;
-    }
-    Reply = "ok saved " + Req.Arg1 + " (" + std::to_string(*Bytes) +
-            " bytes)";
-    return true;
+    if (!Bytes.ok())
+      return Err(Bytes.status());
+    return "ok saved " + Req.Arg1 + " (" + std::to_string(*Bytes) +
+           " bytes)";
   }
   if (Req.Verb == "checkpoint") {
     Status Done = checkpoint(Req.Arg1);
-    if (!Done) {
-      Err(Done);
-      return true;
-    }
-    Reply = "ok checkpoint " +
-            (Req.Arg1.empty() ? Config.SnapshotPath : Req.Arg1);
-    return true;
+    if (!Done)
+      return Err(Done);
+    return "ok checkpoint " +
+           (Req.Arg1.empty() ? Config.SnapshotPath : Req.Arg1);
   }
   if (Req.Verb == "add") {
     Status Added = addLine(Req.Rest);
-    if (!Added) {
-      Err(Added);
-      return true;
-    }
-    Reply = "ok added";
-    return true;
+    return Added ? "ok added" : Err(Added);
   }
   if (Req.Verb == "retract") {
     Status Done = retractLine(Req.Rest);
-    if (!Done) {
-      Err(Done);
-      return true;
-    }
-    Reply = "ok retracted";
-    return true;
+    return Done ? "ok retracted" : Err(Done);
   }
   if (Req.Verb == "verify") {
     // Consistency check across a replication pair: both sides hash every
     // variable's rendered least solution (canonicalChecksum) and compare.
     // Serialized bytes would be the wrong signal here — see the method
     // comment in ServerCore.h.
-    Reply = "ok verify checksum=" + hexId(canonicalChecksum()) +
-            " base=" + hexId(Wal.baseId()) +
-            " records=" + std::to_string(Wal.records());
-    return true;
+    return "ok verify checksum=" + hexId(canonicalChecksum()) +
+           " base=" + hexId(Wal.baseId()) +
+           " records=" + std::to_string(Wal.records());
   }
   if (Req.Verb == "shutdown") {
     // Graceful drain: the caller stops its loop; every acknowledged add
     // is already fsynced, so closing the WAL is the whole flush.
     ShutdownSeen = true;
     shutdownDrain();
-    Reply = "ok shutting_down";
-    return true;
+    return "ok shutting_down";
   }
-  return false;
+  return Err(Status::error(ErrorCode::InvalidArgument,
+                           "unknown verb '" + Req.Verb + "'; try help"));
 }

@@ -94,12 +94,12 @@ public:
   QueryEngine &engine() { return Engine; }
   const QueryEngine &engine() const { return Engine; }
 
-  /// Handles one writer-side verb — add, retract, save, checkpoint,
-  /// stats, counters, metrics, shutdown — and writes the full reply (one line,
-  /// or the multi-line metrics payload) to \p Reply. Returns false for
-  /// verbs this core does not own (queries, help, quit), leaving \p Reply
-  /// untouched. A handled `shutdown` also flips shutdownRequested().
-  bool handleWriterVerb(const Request &Req, std::string &Reply);
+  /// Handles one request of VerbClass::Writer — add, retract, save,
+  /// checkpoint, stats, counters, metrics, verify, shutdown — and returns
+  /// the full reply (one line, or the multi-line metrics payload). Any
+  /// other verb gets the `err invalid_argument unknown verb` reply. A
+  /// handled `shutdown` also flips shutdownRequested().
+  std::string handleWriterVerb(const Request &Req);
 
   /// True when a handled `shutdown` verb asked the caller to drain and
   /// exit (the caller owns the actual loop teardown).
@@ -145,8 +145,9 @@ public:
   }
 
   /// Dumps the registry (solver + serve counters exported) to \p Path as
-  /// one JSON object, rewritten atomically.
-  Status dumpMetricsTo(const std::string &Path);
+  /// one JSON object, rewritten atomically; a failure is reported on
+  /// stderr. No-op for an empty \p Path.
+  void dumpMetricsTo(const std::string &Path);
 
   bool walArmed() const { return !Config.WalPath.empty(); }
   /// The WAL was disabled after a failed checkpoint; add/checkpoint are

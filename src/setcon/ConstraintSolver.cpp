@@ -6,7 +6,7 @@
 
 #include "setcon/ConstraintSolver.h"
 
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 #include "setcon/Oracle.h"
 #include "setcon/Preprocess.h"
 #include "support/CacheAligned.h"
@@ -417,7 +417,7 @@ void ConstraintSolver::buildWaveOrder() {
   SCCResult SCCs = computeSCCs(G);
   Digraph Cond = condense(G, SCCs);
 
-  // Level the condensation Kahn-style. Tarjan numbers components in
+  // Level the condensation Kahn-style. computeSCCs numbers components in
   // reverse topological order — every condensation edge goes from a
   // higher component id to a lower one — so a single descending sweep
   // sees each component after all of its predecessors.
@@ -425,7 +425,8 @@ void ConstraintSolver::buildWaveOrder() {
   std::vector<uint32_t> CompLevel(NumComps, 0);
   for (uint32_t Comp = NumComps; Comp-- > 0;)
     for (uint32_t Succ : Cond.successors(Comp)) {
-      assert(Succ < Comp && "condensation edge against Tarjan numbering");
+      assert(Succ < Comp &&
+             "condensation edge against reverse-topological numbering");
       CompLevel[Succ] = std::max(CompLevel[Succ], CompLevel[Comp] + 1);
     }
 

@@ -460,7 +460,7 @@ private:
   /// worklist-granularity fallback the paper's online discipline needs.
   void runWavePass();
 
-  /// (Re)builds the cached topological order: Tarjan-condense the live
+  /// (Re)builds the cached topological order: condense the live
   /// variable graph, level the condensation Kahn-style, assign each live
   /// representative a unique position sorted by (level, order index), and
   /// lay the successor rows out as CSR arrays in position order with
@@ -544,7 +544,7 @@ private:
   /// lowest-ordered witness and re-enqueues their constraints.
   void collapseCycle(const std::vector<VarId> &Cycle);
 
-  /// Offline pass for CycleElim::Periodic: Tarjan over the current
+  /// Offline pass for CycleElim::Periodic: computeSCCs over the current
   /// variable graph, collapsing every non-trivial SCC.
   void runPeriodicPass();
 

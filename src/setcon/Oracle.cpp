@@ -6,7 +6,7 @@
 
 #include "setcon/Oracle.h"
 
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/Debug.h"
 

@@ -6,7 +6,7 @@
 
 #include "setcon/Preprocess.h"
 
-#include "graph/NuutilaSCC.h"
+#include "graph/SCC.h"
 #include "support/DenseU64Set.h"
 
 #include <algorithm>
@@ -133,7 +133,7 @@ OfflineEquivalence poce::offlinePreprocess(
   // higher component id to a lower one — so a descending sweep sees each
   // component after all of its predecessors. The labeling needs the
   // predecessor side, so invert the condensation's successor lists.
-  SCCResult SCCs = computeSCCsNuutila(G);
+  SCCResult SCCs = computeSCCs(G);
   Digraph Cond = condense(G, SCCs);
   const uint32_t NumComps = SCCs.numComponents();
   std::vector<std::vector<uint32_t>> CompPreds(NumComps);

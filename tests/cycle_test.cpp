@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/PRNG.h"
 

@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "andersen/Andersen.h"
-#include "graph/TarjanSCC.h"
+#include "graph/SCC.h"
 #include "setcon/Oracle.h"
 #include "workload/Suite.h"
 

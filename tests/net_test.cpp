@@ -183,6 +183,39 @@ Q <= P
 T <= Q
 )";
 
+/// A recovered IF-Online ServerCore over the constraint system \p Text,
+/// built as scserved builds one from a .scs file; null with \p Error set
+/// on failure.
+std::unique_ptr<serve::ServerCore> makeCore(const std::string &Text,
+                                            serve::ServerCoreConfig CoreCfg,
+                                            std::string &Error) {
+  serve::SolverBundle Bundle;
+  Bundle.Constructors = std::make_unique<ConstructorTable>();
+  Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
+  Bundle.Solver = std::make_unique<ConstraintSolver>(
+      *Bundle.Terms, makeConfig(GraphForm::Inductive, CycleElim::Online));
+  ConstraintSystemFile System;
+  Status Parsed = System.parse(Text);
+  if (!Parsed) {
+    Error = Parsed.toString();
+    return nullptr;
+  }
+  System.emit(*Bundle.Solver);
+  Bundle.Solver->materializeAllViews();
+
+  auto Core = std::make_unique<serve::ServerCore>(std::move(Bundle), CoreCfg);
+  if (!Core->valid()) {
+    Error = Core->initError();
+    return nullptr;
+  }
+  Status Recovered = Core->recover(/*SnapBase=*/0);
+  if (!Recovered) {
+    Error = Recovered.toString();
+    return nullptr;
+  }
+  return Core;
+}
+
 /// An in-process socket-mode server on an ephemeral loopback port (or a
 /// Unix socket), with its event loop on a background thread.
 struct LoopbackServer {
@@ -196,30 +229,9 @@ struct LoopbackServer {
   explicit LoopbackServer(const std::string &Text,
                           NetServerOptions NetOpts = {},
                           serve::ServerCoreConfig CoreCfg = {}) {
-    serve::SolverBundle Bundle;
-    Bundle.Constructors = std::make_unique<ConstructorTable>();
-    Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
-    Bundle.Solver = std::make_unique<ConstraintSolver>(
-        *Bundle.Terms, makeConfig(GraphForm::Inductive, CycleElim::Online));
-    ConstraintSystemFile System;
-    Status Parsed = System.parse(Text);
-    if (!Parsed) {
-      Error = Parsed.toString();
+    Core = makeCore(Text, CoreCfg, Error);
+    if (!Core)
       return;
-    }
-    System.emit(*Bundle.Solver);
-    Bundle.Solver->materializeAllViews();
-
-    Core = std::make_unique<serve::ServerCore>(std::move(Bundle), CoreCfg);
-    if (!Core->valid()) {
-      Error = Core->initError();
-      return;
-    }
-    Status Recovered = Core->recover(/*SnapBase=*/0);
-    if (!Recovered) {
-      Error = Recovered.toString();
-      return;
-    }
 
     if (NetOpts.TcpSpec.empty() && NetOpts.UnixPath.empty())
       NetOpts.TcpSpec = "127.0.0.1:0";
@@ -275,33 +287,102 @@ std::set<std::string> parseSet(const std::string &Reply) {
 // Protocol over sockets
 //===----------------------------------------------------------------------===//
 
+/// Runs \p Input through a stdin session on a fresh core over \p Text
+/// and returns its reply lines.
+std::vector<std::string> stdinReplies(const std::string &Text,
+                                      const std::string &Input,
+                                      size_t MaxRequest) {
+  std::string Error;
+  std::unique_ptr<serve::ServerCore> Core =
+      makeCore(Text, serve::ServerCoreConfig(), Error);
+  EXPECT_TRUE(Core) << Error;
+  std::vector<std::string> Replies;
+  if (!Core)
+    return Replies;
+  StdinSession Session(*Core, MaxRequest, [&](const std::string &Line) {
+    Replies.push_back(Line);
+  });
+  Session.feed(Input.data(), Input.size());
+  return Replies;
+}
+
 TEST(NetServerTest, ProtocolMatchesStdinMode) {
-  LoopbackServer S(SwapText);
+  // One request list through both front ends, each on its own core over
+  // the same system: the replies must be byte-identical and in order, with
+  // none for blank and comment lines.
+  const size_t Limit = 64;
+  const std::vector<std::string> Requests = {
+      "ls P",
+      "pts P",
+      "alias P Q",
+      "alias X Y",
+      "ls nosuch",
+      "alias P nosuch",
+      "frobnicate now",
+      "",
+      "   ",
+      "# a comment",
+      std::string(200, 'q'),
+      "add cons nz",
+      "add ref(nz, X, X) <= T",
+      "pts Q",
+      "add undeclared <= P",
+      "retract ref(nz, X, X) <= T",
+      "retract ref(nz, X, X) <= T",
+      "pts Q",
+      "verify",
+      "quit",
+  };
+  std::string Input;
+  for (const std::string &Line : Requests)
+    Input += Line + "\n";
+
+  std::vector<std::string> Stdin = stdinReplies(SwapText, Input, Limit);
+  ASSERT_EQ(Stdin.size(), Requests.size() - 3);
+
+  NetServerOptions Opts;
+  Opts.MaxRequest = Limit;
+  LoopbackServer S(SwapText, Opts);
   ASSERT_TRUE(S.Error.empty()) << S.Error;
   LineClient C = S.client();
+  ASSERT_TRUE(C.sendLine(Input.substr(0, Input.size() - 1)).ok());
+  std::vector<std::string> Socket;
+  std::string Line;
+  while (C.recvLine(Line).ok()) // quit closes the connection
+    Socket.push_back(Line);
+  EXPECT_EQ(Socket, Stdin);
 
-  EXPECT_EQ(ask(C, "pts P"), "ok { nx, ny }");
-  EXPECT_EQ(ask(C, "alias P Q"), "ok true");
-  EXPECT_EQ(ask(C, "alias X Y"), "ok false");
-  EXPECT_EQ(ask(C, "ls nosuch"), "err not_found unknown variable 'nosuch'");
-  EXPECT_EQ(ask(C, "frobnicate"),
+  EXPECT_EQ(Stdin[2], "ok true");
+  EXPECT_EQ(Stdin[4], "err not_found unknown variable 'nosuch'");
+  EXPECT_EQ(Stdin[6],
             "err invalid_argument unknown verb 'frobnicate'; try help");
-  std::string Help = ask(C, "help");
-  EXPECT_NE(Help.find("shutdown"), std::string::npos);
-  std::string Stats = ask(C, "stats");
-  EXPECT_EQ(Stats.rfind("ok config=IF-Online", 0), 0u) << Stats;
+  EXPECT_EQ(Stdin[7], "err too_large request is 200 bytes; limit is 64");
+  EXPECT_EQ(Stdin[8], "ok added");
+  EXPECT_EQ(Stdin[12], "ok retracted");
+  EXPECT_EQ(Stdin.back(), "ok bye");
 
-  std::string Metrics = ask(C, "metrics");
+  // `help` is the one reply that differs: only the socket front end
+  // serves replicate and promote.
+  EXPECT_EQ(stdinReplies(SwapText, "help\n", Limit),
+            std::vector<std::string>{
+                "ok commands: ls X | pts X | alias X Y | add LINE | "
+                "retract LINE | save PATH | checkpoint [PATH] | stats | "
+                "counters | metrics | verify | shutdown | help | quit"});
+  LineClient H = S.client();
+  EXPECT_EQ(ask(H, "help"),
+            "ok commands: ls X | pts X | alias X Y | add LINE | "
+            "retract LINE | save PATH | checkpoint [PATH] | stats | "
+            "counters | metrics | verify | replicate BASE SEQ | promote | "
+            "shutdown | help | quit");
+  std::string Stats = ask(H, "stats");
+  EXPECT_EQ(Stats.rfind("ok config=IF-Online", 0), 0u) << Stats;
+  std::string Metrics = ask(H, "metrics");
   EXPECT_EQ(Metrics.rfind("ok metrics", 0), 0u);
   EXPECT_NE(Metrics.find("poce_net_queries_total"), std::string::npos);
   EXPECT_NE(Metrics.find("poce_net_lane0_queries"), std::string::npos);
   std::string Trailer = "# EOF";
   ASSERT_GE(Metrics.size(), Trailer.size());
   EXPECT_EQ(Metrics.substr(Metrics.size() - Trailer.size()), Trailer);
-
-  EXPECT_EQ(ask(C, "quit"), "ok bye");
-  std::string Dead;
-  EXPECT_FALSE(C.recvLine(Dead).ok()); // server closed after the goodbye
   EXPECT_EQ(S.stop(), 0);
 }
 
