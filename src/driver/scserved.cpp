@@ -25,8 +25,8 @@
 /// concurrently on a thread-pool wave against an immutable published
 /// ReadView while a single writer lane owns the core — queries never
 /// block on adds; see net/Server.h for the full concurrency story. The
-/// stdin loop reads the writer's own solver, settled once after each
-/// mutation.
+/// stdin loop reads the same kind of view, captured from the writer's
+/// solver once after each mutation.
 ///
 /// The server always closes adds with the eager worklist and runs no
 /// offline preprocessing. Wave closure rebuilds its order on every
@@ -353,7 +353,9 @@ int main(int Argc, char **Argv) {
   }
 
   Bundle.Solver->setThreads(static_cast<unsigned>(Threads));
-  Bundle.Solver->materializeAllViews();
+  // Settled before the rollback base is captured, so the base (and any
+  // snapshot saved before the first add) carries the least solutions.
+  Bundle.Solver->finalize();
 
   ServerCoreConfig CoreConfig;
   CoreConfig.SnapshotPath = Snapshot;

@@ -174,15 +174,7 @@ Status NetServer::init() {
 
   // The startup epoch: published before any connection can be accepted,
   // so the first read wave always has a view.
-  std::vector<uint8_t> Bytes;
-  Status Serialized = Core.serializeState(Bytes);
-  if (!Serialized)
-    return Serialized.withContext("publishing startup view");
-  Expected<std::shared_ptr<const ReadView>> View =
-      ReadView::build(Bytes, ViewEpoch);
-  if (!View.ok())
-    return View.status().withContext("publishing startup view");
-  Publisher.publish(*View);
+  Publisher.publish(Core.engine().view());
   PublishesTotal->inc();
   EpochGauge->set(ViewEpoch);
 
@@ -438,7 +430,7 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
   // One epoch pin for the whole wave: every query in the batch answers
   // against the same published state, concurrent with whatever the
   // writer lane is doing to its own solver.
-  std::shared_ptr<const ReadView> View = Publisher.acquire();
+  std::shared_ptr<const serve::ReadView> View = Publisher.acquire();
   Pool.parallelFor(
       Batch.size(),
       [&](size_t I, unsigned Lane) {
@@ -447,8 +439,7 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
           return;
         LaneAccum &Accum = LaneSlots[Lane].Value;
         const uint64_t StartUs = trace::nowMicros();
-        Task.Reply =
-            serve::answerQuery(View->solver(), View->system(), Task.Req);
+        Task.Reply = serve::answerQuery(*View, Task.Req);
         ++Accum.Queries;
         Accum.Errors += Task.Reply.rfind("err ", 0) == 0;
         Accum.LatenciesUs.push_back(trace::nowMicros() - StartUs);
@@ -656,27 +647,9 @@ int NetServer::run() {
 
 void NetServer::republish() {
   const uint64_t StartUs = trace::nowMicros();
-  std::vector<uint8_t> Bytes;
-  Status Serialized = Core.serializeState(Bytes);
-  if (!Serialized) {
-    std::fprintf(stderr,
-                 "scserved: view republish failed (%s); readers keep "
-                 "the previous epoch\n",
-                 Serialized.toString().c_str());
-    return;
-  }
-  Expected<std::shared_ptr<const ReadView>> View =
-      ReadView::build(Bytes, ++ViewEpoch);
-  if (!View.ok()) {
-    std::fprintf(stderr,
-                 "scserved: view republish failed (%s); readers keep "
-                 "the previous epoch\n",
-                 View.status().toString().c_str());
-    return;
-  }
-  Publisher.publish(*View);
+  Publisher.publish(Core.engine().view());
   PublishesTotal->inc();
-  EpochGauge->set(ViewEpoch);
+  EpochGauge->set(++ViewEpoch);
   PublishHist->record(trace::nowMicros() - StartUs);
 }
 

@@ -12,7 +12,7 @@
 ///
 /// StdinSession is the stdin front end without its file descriptor:
 /// raw input bytes in, one reply line per request out, in request order.
-/// Its queries read the writer's own solver, settled once after each
+/// Its queries read the engine's own read view, captured once after each
 /// mutation (QueryEngine::answer()). Single-threaded.
 ///
 /// NetServer is the multi-client network front end: an edge-triggered
@@ -24,12 +24,14 @@
 ///     re-arm backpressure, idle timeouts, and graceful drain.
 ///   - *Read lanes* (a support/ThreadPool wave per loop iteration)
 ///     execute ls/pts/alias batches against the immutable published
-///     ReadView epoch (net/ReadView.h), recording latencies into
+///     ReadView epoch (serve/ReadView.h, published through
+///     net/ViewPublisher.h), recording latencies into
 ///     cache-line-padded per-lane accumulators (net/LaneStats.h) that
 ///     the loop thread merges after the wave barrier.
 ///   - A single *writer thread* owns the ServerCore — WAL append + apply,
-///     save/checkpoint, stats/counters/metrics — and republishes a fresh
-///     ReadView after every batch that mutated the graph, *before*
+///     save/checkpoint, stats/counters/metrics — and publishes a fresh
+///     ReadView, captured from its solver, after every batch that
+///     mutated the graph, *before*
 ///     acknowledging it (ack-after-publish), so a client that saw
 ///     `ok added` observes its constraint in every subsequent query:
 ///     read-your-writes without ever taking a lock on the read path.
@@ -46,7 +48,7 @@
 
 #include "net/Framing.h"
 #include "net/LaneStats.h"
-#include "net/ReadView.h"
+#include "net/ViewPublisher.h"
 #include "serve/ServerCore.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
@@ -136,7 +138,7 @@ public:
   NetServer(const NetServer &) = delete;
   NetServer &operator=(const NetServer &) = delete;
 
-  /// Binds listeners, creates the epoll/eventfd plumbing, builds and
+  /// Binds listeners, creates the epoll/eventfd plumbing, captures and
   /// publishes the startup ReadView, and starts the writer thread.
   Status init();
 

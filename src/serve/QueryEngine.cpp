@@ -8,9 +8,6 @@
 
 #include "serve/Wal.h"
 
-#include <algorithm>
-#include <cassert>
-
 using namespace poce;
 using namespace poce::serve;
 
@@ -34,114 +31,17 @@ QueryEngine::QueryEngine(SolverBundle InBundle)
     BaseBytes.clear();
 }
 
-std::string render::locationTag(const ConstraintSolver &Solver,
-                                ExprId Term) {
-  const TermTable &Terms = Solver.terms();
-  if (Terms.kind(Term) == ExprKind::Cons) {
-    const ConstructorTable &Cons = Terms.constructors();
-    ConsId C = Terms.consOf(Term);
-    if (Cons.signature(C).arity() == 0)
-      return Cons.signature(C).Name;
-    // ref(l, get, set)-shaped terms: the first argument is the location
-    // name constructor.
-    ExprId First = Terms.argsOf(Term)[0];
-    if (Terms.kind(First) == ExprKind::Cons &&
-        Cons.signature(Terms.consOf(First)).arity() == 0)
-      return Cons.signature(Terms.consOf(First)).Name;
+std::shared_ptr<const ReadView> QueryEngine::view() {
+  if (ViewStale) {
+    View = ReadView::capture(*Bundle.Solver, System, Generation, View.get());
+    ViewStale = false;
   }
-  return Solver.exprStr(Term);
-}
-
-std::vector<std::string>
-render::lsItems(const ConstraintSolver &Solver,
-                const std::vector<ExprId> &Terms) {
-  std::vector<std::string> Items;
-  Items.reserve(Terms.size());
-  for (ExprId Term : Terms)
-    Items.push_back(Solver.exprStr(Term));
-  return Items;
-}
-
-std::vector<std::string>
-render::ptsItems(const ConstraintSolver &Solver,
-                 const std::vector<ExprId> &Terms) {
-  // Projection to tags can fold several terms onto one location; keep
-  // the output sorted and deduplicated so responses are canonical.
-  std::vector<std::string> Items;
-  Items.reserve(Terms.size());
-  for (ExprId Term : Terms)
-    Items.push_back(locationTag(Solver, Term));
-  std::sort(Items.begin(), Items.end());
-  Items.erase(std::unique(Items.begin(), Items.end()), Items.end());
-  return Items;
-}
-
-std::string render::renderSet(const std::vector<std::string> &Items) {
-  std::string Out = "{";
-  for (size_t I = 0; I != Items.size(); ++I)
-    Out += (I ? ", " : " ") + Items[I];
-  Out += Items.empty() ? "}" : " }";
-  return Out;
-}
-
-std::vector<std::string> render::splitSet(const std::string &Set) {
-  std::vector<std::string> Items;
-  if (Set.size() < 4 || Set.front() != '{' || Set.back() != '}')
-    return Items; // "{}" or not a set.
-  const std::string Body = Set.substr(2, Set.size() - 4);
-  int Depth = 0;
-  size_t Start = 0;
-  for (size_t I = 0; I != Body.size(); ++I) {
-    if (Body[I] == '(')
-      ++Depth;
-    else if (Body[I] == ')')
-      --Depth;
-    else if (Depth == 0 && Body.compare(I, 2, ", ") == 0) {
-      Items.push_back(Body.substr(Start, I - Start));
-      Start = I + 2;
-    }
-  }
-  Items.push_back(Body.substr(Start));
-  return Items;
-}
-
-std::string serve::answerQuery(const ConstraintSolver &Solver,
-                               const ConstraintSystemFile &System,
-                               const Request &Req) {
-  assert(classifyVerb(Req.Verb) == VerbClass::Query &&
-         "answerQuery serves ls/pts/alias only");
-  auto Resolve = [&](const std::string &Name, VarId &Out) {
-    uint32_t Index = System.varIndex(Name);
-    if (Index == ConstraintSystemFile::NotFound ||
-        Index >= Solver.numCreations())
-      return false;
-    Out = Solver.varOfCreation(Index);
-    return true;
-  };
-  auto Unknown = [](const std::string &Name) {
-    return "err " + Status::error(ErrorCode::NotFound,
-                                  "unknown variable '" + Name + "'")
-                        .wire();
-  };
-  VarId X = 0, Y = 0;
-  if (!Resolve(Req.Arg1, X))
-    return Unknown(Req.Arg1);
-  if (Req.Verb == "alias") {
-    if (!Resolve(Req.Arg2, Y))
-      return Unknown(Req.Arg2);
-    return Solver.aliasConst(X, Y) ? "ok true" : "ok false";
-  }
-  const std::vector<ExprId> &Terms =
-      Solver.leastSolutionViewConst(Solver.repConst(X));
-  return "ok " + render::renderSet(Req.Verb == "ls"
-                                       ? render::lsItems(Solver, Terms)
-                                       : render::ptsItems(Solver, Terms));
+  return View;
 }
 
 std::string QueryEngine::answer(const Request &Req) {
-  if (!Bundle.Solver->readShareable())
-    Bundle.Solver->materializeAllViews();
-  return answerQuery(*Bundle.Solver, System, Req);
+  Bundle.Solver->finalize();
+  return answerQuery(*view(), Req);
 }
 
 Status QueryEngine::checkConstraint(const std::string &Line) const {
@@ -158,6 +58,7 @@ Status QueryEngine::addConstraint(const std::string &Line) {
   Status St = System.addLine(Line, *Bundle.Solver);
   if (!St)
     return St;
+  ViewStale = true;
   // Wave closure defers consequences until a solution is needed; force
   // them now so a budget breach surfaces (and rolls back) at the add that
   // caused it, exactly as in worklist mode. No-op for worklist closure.
@@ -209,6 +110,7 @@ Status QueryEngine::retractConstraint(const std::string &Line) {
   if (!Bundle.Solver->retract(Canon))
     return Status::error(ErrorCode::NotFound,
                          "no live constraint '" + Canon + "' to retract");
+  ViewStale = true;
   // The cone replay runs under the live budgets (a retraction can
   // trigger arbitrary re-propagation); a breach rolls the whole batch
   // back, exactly as for an addition.
@@ -287,6 +189,8 @@ Status QueryEngine::rollback() {
 
   Bundle = std::move(Rebuilt);
   System = std::move(Replayed);
+  ++Generation;
+  ViewStale = true;
   return Status();
 }
 
@@ -301,6 +205,8 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
     return Adopt.withContext("adopting replacement snapshot declarations");
   Bundle = std::move(Rebuilt);
   System = std::move(Adopted);
+  ++Generation;
+  ViewStale = true;
   AcceptedLines.clear();
   BaseBytes.assign(Data, Data + Size);
   RollbackArmed = true;

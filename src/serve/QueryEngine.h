@@ -23,13 +23,13 @@
 /// the one before the offending line. The caller sees a clean
 /// BudgetExceeded error and can keep querying.
 ///
-/// Reads go through one function, answerQuery(), which renders a reply
-/// from a *settled* solver's const read surface. The socket server calls
-/// it on its published ReadViews (net/ReadView.h); the stdin loop and the
-/// `verify` checksum call it through answer(), which first settles the
-/// engine's own solver (materializeAllViews()) if a mutation has
-/// unsettled it since the last read. A settled solver already holds every
-/// least solution as a sorted view, so there is nothing further to cache.
+/// Reads go through one function, answerQuery(), over an immutable
+/// ReadView (serve/ReadView.h). view() captures one from the engine's
+/// solver — incrementally from the previous capture, sharing every
+/// representative whose solution did not change — and caches it until
+/// the next mutation. The socket server publishes those views to its read
+/// lanes; the stdin loop and the `verify` checksum answer through
+/// answer(), which reads the same view.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,57 +38,18 @@
 
 #include "serve/GraphSnapshot.h"
 #include "serve/Protocol.h"
+#include "serve/ReadView.h"
 #include "setcon/ConstraintFile.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/Status.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace poce {
 namespace serve {
-
-/// Pure rendering helpers behind answerQuery(). All of them are const
-/// over the solver so they are safe on concurrently shared, settled
-/// solvers.
-namespace render {
-
-/// The location tag of one constructed term: a nullary constructor's
-/// name, the name of a nullary first argument (the ref(l, get, set)
-/// shape Andersen's analysis uses), or the full rendering otherwise.
-std::string locationTag(const ConstraintSolver &Solver, ExprId Term);
-
-/// ls items: each term of \p Terms rendered as its term string.
-std::vector<std::string> lsItems(const ConstraintSolver &Solver,
-                                 const std::vector<ExprId> &Terms);
-
-/// pts items: \p Terms projected to location tags, sorted and
-/// deduplicated so responses are canonical.
-std::vector<std::string> ptsItems(const ConstraintSolver &Solver,
-                                  const std::vector<ExprId> &Terms);
-
-/// "{ a, b }" set formatting of ls/pts replies.
-std::string renderSet(const std::vector<std::string> &Items);
-
-/// The inverse of renderSet(): the items of a "{ a, b }" set. Splits only
-/// at top-level commas, so constructed terms such as "ref(l, X, X)" stay
-/// whole.
-std::vector<std::string> splitSet(const std::string &Set);
-
-} // namespace render
-
-/// The one read path of both front ends: the full reply line to an
-/// `ls X` / `pts X` / `alias X Y` request — "ok { ... }", "ok true" /
-/// "ok false", or "err not_found unknown variable '...'". Names resolve
-/// through \p System's declarations. Works only through \p Solver's
-/// const read surface, so \p Solver must be settled
-/// (materializeAllViews()); under that contract any number of threads may
-/// call this on one solver concurrently. Records no telemetry — the front
-/// ends time and count requests, internal callers such as `verify` do not.
-std::string answerQuery(const ConstraintSolver &Solver,
-                        const ConstraintSystemFile &System,
-                        const Request &Req);
 
 class QueryEngine {
 public:
@@ -116,9 +77,16 @@ public:
   /// True when a budget abort can be rolled back (base snapshot captured).
   bool rollbackArmed() const { return RollbackArmed; }
 
-  /// answerQuery() on this engine's solver, settled first if a mutation
-  /// has unsettled it since the last read (one materializeAllViews() per
-  /// mutation, however many reads follow).
+  /// The read view of the engine's current state. Captured on the first
+  /// call after a mutation, from the previous view (see
+  /// ReadView::capture), and cached until the next one. Leaves the
+  /// solver's settle state, and with it every snapshot of the solver, as
+  /// it was.
+  std::shared_ptr<const ReadView> view();
+
+  /// answerQuery() on view(), after settling the solver for good
+  /// (finalize()): a snapshot saved after a stdin read or a `verify`
+  /// records the settled solutions.
   std::string answer(const Request &Req);
 
   /// Feeds one line of the constraint-file format (declaration or
@@ -193,6 +161,12 @@ private:
   std::string InitError;
   std::vector<uint8_t> BaseBytes;          ///< Rollback base snapshot.
   std::vector<std::string> AcceptedLines;  ///< Journal since the base.
+  /// Bumped whenever the solver is replaced by one rebuilt from bytes
+  /// (rollback(), resetFromSnapshot()): its term ids and mutation epochs
+  /// restart, so view() shares nothing across a bump.
+  uint64_t Generation = 0;
+  std::shared_ptr<const ReadView> View; ///< Last capture (null: none yet).
+  bool ViewStale = true; ///< A mutation may have changed View's answers.
 };
 
 } // namespace serve

@@ -90,17 +90,6 @@ uint64_t ServerCore::snapshotFileChecksum(const std::string &Path) {
   return GraphSnapshot::payloadChecksum(Bytes.data(), Bytes.size());
 }
 
-Status ServerCore::serializeState(std::vector<uint8_t> &Bytes,
-                                  uint64_t *ChecksumOut) {
-  Bytes.clear();
-  Status Serialized = GraphSnapshot::serialize(Engine.solver(), Bytes);
-  if (!Serialized)
-    return Serialized;
-  if (ChecksumOut)
-    *ChecksumOut = GraphSnapshot::payloadChecksum(Bytes.data(), Bytes.size());
-  return Status();
-}
-
 uint64_t ServerCore::canonicalChecksum() {
   const ConstraintSolver &Solver = Engine.solver();
   uint32_t NumVars = Solver.numVars();

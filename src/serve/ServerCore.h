@@ -15,8 +15,8 @@
 /// Threading: a ServerCore is single-owner. The stdin driver calls it from
 /// its request loop; the socket server calls it from its single writer
 /// lane. Concurrent *reads* never touch it — they go through immutable
-/// published ReadViews (net/ReadView.h) built from snapshots this core
-/// serializes.
+/// published ReadViews (serve/ReadView.h) captured from this core's
+/// engine.
 ///
 /// Every reply string and error code is byte-compatible with the PR 4/5
 /// scserved loop (the serve_smoke.sh / crash_recovery.sh harnesses assert
@@ -156,14 +156,6 @@ public:
   uint64_t walReplayed() const { return WalReplayed; }
   uint64_t walSkipped() const { return WalSkipped; }
 
-  /// Serializes the engine's current graph (the published-view source for
-  /// the socket server) and returns its payload checksum via
-  /// \p ChecksumOut (may be null). Non-const: serialization finalizes any
-  /// lazily deferred solver state first, which is why only the single
-  /// writer lane may call it.
-  Status serializeState(std::vector<uint8_t> &Bytes,
-                        uint64_t *ChecksumOut = nullptr);
-
   /// Canonical state checksum for the `verify` verb: a hash over every
   /// variable's rendered least solution, with items and variables sorted.
   /// Deliberately NOT the serialized-byte checksum — a live primary and a
@@ -171,7 +163,8 @@ public:
   /// valid) representatives, so byte identity is the wrong convergence
   /// signal; answer identity is the claim replication actually makes.
   /// The items are exactly those `ls` answers (QueryEngine::answer()).
-  /// Writer-lane only (settles the engine's solver).
+  /// Writer-lane only (settles the engine's solver and captures its read
+  /// view).
   uint64_t canonicalChecksum();
 
   /// \name Replication (primary side)

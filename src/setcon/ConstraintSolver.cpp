@@ -252,7 +252,6 @@ void ConstraintSolver::invalidateSolutions() {
   LSBits.clear();
   LSView.clear();
   LSViewBuilt.clear();
-  AllViewsBuilt = false;
 }
 
 void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs, bool Derived) {
@@ -855,7 +854,7 @@ bool ConstraintSolver::detectAndCollapse(VarId Lhs, VarId Rhs) {
   // Rhs <= ... <= Lhs is already present.
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  std::vector<VarId> Path;
+  std::vector<VarId> &Path = ChainPath;
   bool Found = false;
   if (Options.Form == GraphForm::Inductive) {
     if (orderOf(Lhs) > orderOf(Rhs)) {
@@ -905,18 +904,15 @@ bool ConstraintSolver::searchChain(VarId Start, VarId Target, ChainKind Kind,
   ++CurrentEpoch;
   bool UsePreds = Kind == ChainKind::Pred;
 
-  struct Frame {
-    VarId Node;
-    uint32_t NextIndex;
-  };
-  std::vector<Frame> Frames;
+  std::vector<ChainFrame> &Frames = ChainFrames;
+  Frames.clear();
   Path.clear();
   Path.push_back(Start);
   Frames.push_back({Start, 0});
   Vars[Start].VisitEpoch = CurrentEpoch;
 
   while (!Frames.empty()) {
-    Frame &Top = Frames.back();
+    ChainFrame &Top = Frames.back();
     const std::vector<uint32_t> &List =
         UsePreds ? Vars[Top.Node].Preds : Vars[Top.Node].Succs;
     if (Top.NextIndex >= List.size()) {
@@ -1369,36 +1365,6 @@ const SparseBitVector &ConstraintSolver::leastSolutionBits(VarId Var) {
                                              : LSBits[Rep];
 }
 
-const SparseBitVector &
-ConstraintSolver::leastSolutionBitsConst(VarId Var) const {
-  assert(readShareable() &&
-         "const solution access on an unsettled solver; call "
-         "materializeAllViews() first");
-  VarId Rep = Forwarding.findConst(Var);
-  return Options.Form == GraphForm::Standard ? Vars[Rep].PredTerms
-                                             : LSBits[Rep];
-}
-
-const std::vector<ExprId> &
-ConstraintSolver::leastSolutionViewConst(VarId Var) const {
-  assert(readShareable() &&
-         "const solution access on an unsettled solver; call "
-         "materializeAllViews() first");
-  VarId Rep = Forwarding.findConst(Var);
-  assert(LSViewBuilt[Rep] &&
-         "view not materialized; materializeAllViews() builds every live "
-         "representative's view");
-  return LSView[Rep];
-}
-
-bool ConstraintSolver::aliasConst(VarId X, VarId Y) const {
-  VarId RepX = Forwarding.findConst(X);
-  VarId RepY = Forwarding.findConst(Y);
-  if (RepX == RepY)
-    return true;
-  return leastSolutionBitsConst(RepX).intersects(leastSolutionBitsConst(RepY));
-}
-
 const std::vector<ExprId> &ConstraintSolver::materializeLS(VarId Rep) {
   if (!LSViewBuilt[Rep]) {
     const SparseBitVector &Bits = Options.Form == GraphForm::Standard
@@ -1543,7 +1509,6 @@ void ConstraintSolver::materializeAllViews() {
     for (VarId Var = 0; Var != numVars(); ++Var)
       if (Forwarding.isRepresentative(Var))
         (void)materializeLS(Var);
-    AllViewsBuilt = true;
     return;
   }
   ThreadPool Pool(Threads);
@@ -1563,7 +1528,6 @@ void ConstraintSolver::materializeAllSolutions(ThreadPool &Pool) {
     LSView[Rep] = Bits.toVector<ExprId>();
     LSViewBuilt[Rep] = 1;
   });
-  AllViewsBuilt = true;
 }
 
 std::vector<std::vector<ExprId>> ConstraintSolver::referenceLeastSolutions() {

@@ -184,42 +184,24 @@ public:
   /// The least solution of \p Var as a bitmap (no materialization).
   const SparseBitVector &leastSolutionBits(VarId Var);
 
-  //===--------------------------------------------------------------------===
-  // Concurrent read surface
-  //===--------------------------------------------------------------------===
-  //
-  // The accessors below are genuinely const: no lazy closure, no lazy
-  // finalize, no union-find path compression — so a solver that has been
-  // fully settled with materializeAllViews() can be shared read-only
-  // across threads with no synchronization at all. This is the contract
-  // the network layer's published ReadViews rely on (see net/ReadView.h):
-  // the writer settles a solver once, publishes it behind a shared_ptr,
-  // and any number of reader lanes query it concurrently. Calling them on
-  // an unsettled solver is a programming error (asserted).
-
-  /// True once materializeAllViews() has settled the solutions and built
-  /// every representative's sorted view, and no mutation has unsettled
-  /// them since: the precondition of the *Const accessors below. (A bare
-  /// finalize(), or a snapshot load, settles the bitmaps but not the
-  /// views.)
-  bool readShareable() const {
-    return Finalized && AllViewsBuilt && LSView.size() == numVars();
+  /// Runs \p Read with every least solution settled (finalize()), then
+  /// returns the solver to the settle state it was in: a solver that was
+  /// not finalized is unsettled again and the LSUnionWords count the
+  /// settle added is taken back, so the read leaves no trace in what a
+  /// snapshot records. The solutions \p Read saw become the next
+  /// finalize()'s diff base, and the mutation epochs the settle bumped
+  /// stay bumped. Read-view capture (serve/ReadView.h) reads the serving
+  /// writer's solver through this.
+  template <typename Fn> void readSettled(Fn &&Read) {
+    const bool WasFinalized = Finalized;
+    const uint64_t UnionWords = Stats.LSUnionWords;
+    finalize();
+    Read();
+    if (!WasFinalized) {
+      invalidateSolutions();
+      Stats.LSUnionWords = UnionWords;
+    }
   }
-
-  /// Representative lookup without path compression (single const hop on
-  /// the pre-compressed forwarding chains finalize() leaves behind).
-  VarId repConst(VarId Var) const { return Forwarding.findConst(Var); }
-
-  /// leastSolutionBits() without the lazy finalize.
-  const SparseBitVector &leastSolutionBitsConst(VarId Var) const;
-
-  /// leastSolution() without the lazy finalize or view materialization;
-  /// requires materializeAllViews() to have built every view.
-  const std::vector<ExprId> &leastSolutionViewConst(VarId Var) const;
-
-  /// alias query (same representative or intersecting solutions) on the
-  /// const surface.
-  bool aliasConst(VarId X, VarId Y) const;
 
   /// Recomputes all least solutions with the pre-bitvector algorithm
   /// (vector concatenation + sort + unique over the adjacency lists).
@@ -315,9 +297,9 @@ public:
   std::string dumpGraph();
 
   /// Finalizes (if needed) and builds every live representative's sorted
-  /// solution view, using Options.Threads lanes when > 1. The serve layer
-  /// calls this after loading a snapshot so that first queries do not pay
-  /// materialization cost; results are identical for any lane count.
+  /// solution view, using Options.Threads lanes when > 1, so that later
+  /// leastSolution() calls do not pay materialization cost; results are
+  /// identical for any lane count.
   void materializeAllViews();
 
   /// Overrides the thread-count option. Threads only affects wall-clock
@@ -394,7 +376,7 @@ private:
     /// the last flush and still await delivery to the successor edges.
     /// Always a subset of PredTerms; empty outside SF diff-prop.
     SparseBitVector SrcDelta;
-    uint32_t VisitEpoch = 0;
+    uint64_t VisitEpoch = 0;
   };
 
   struct WorkItem {
@@ -540,6 +522,12 @@ private:
   bool searchChain(VarId Start, VarId Target, ChainKind Kind,
                    std::vector<VarId> &Path);
 
+  /// One level of searchChain's explicit DFS stack.
+  struct ChainFrame {
+    VarId Node;
+    uint32_t NextIndex;
+  };
+
   /// Collapses the distinct live variables in \p Cycle onto the
   /// lowest-ordered witness and re-enqueues their constraints.
   void collapseCycle(const std::vector<VarId> &Cycle);
@@ -638,7 +626,10 @@ private:
   /// constraint takes the online path.
   bool PreprocessDone = true;
   uint64_t NextPeriodicWork = 0;
-  uint32_t CurrentEpoch = 0;
+  /// Visit-mark epoch of chain searches and the IF least-solution pass.
+  /// 64 bits: a long-lived server advances it by every variable on every
+  /// settle, and a wrapped counter would read stale marks as visited.
+  uint64_t CurrentEpoch = 0;
 
   /// Wave mode: input constraints deferred by addConstraint, consumed
   /// FIFO (input order) by drainWave.
@@ -678,6 +669,10 @@ private:
   /// Scratch bitmaps reused by flushDelta/insertSucc to avoid per-flush
   /// allocations.
   SparseBitVector DeltaScratch, OldSrcScratch;
+  /// Scratch reused by every detectAndCollapse/searchChain call (a paper
+  /// suite pass runs about 1.8M searches): the DFS stack and the chain.
+  std::vector<ChainFrame> ChainFrames;
+  std::vector<VarId> ChainPath;
 
   SparseBitVector SeenSources, SeenSinks;
   DenseU64Set RecordedSet, RecordedInitialSet;
@@ -692,8 +687,6 @@ private:
   /// Lazily materialized sorted views of the solution bitmaps.
   std::vector<std::vector<ExprId>> LSView;
   std::vector<uint8_t> LSViewBuilt;
-  /// Every representative's view is built (see readShareable()).
-  bool AllViewsBuilt = false;
 
   SolverStats Stats;
 };

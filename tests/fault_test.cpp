@@ -590,13 +590,13 @@ TEST(BudgetTest, EdgeBudgetAbortRollsBackBitIdentical) {
 
 TEST(BudgetTest, RollbackToSettledBaseServesItsSolutions) {
   // scserved settles the solver before the engine captures its rollback
-  // base, so the base snapshot carries finalized solutions but no sorted
-  // views. A rollback with an empty journal restores exactly that state,
-  // and the next read must build the views rather than serve empty ones.
+  // base, so the base snapshot carries finalized solutions. A rollback
+  // with an empty journal restores exactly that state, and the next read
+  // must serve its solutions rather than empty ones.
   SolverBundle Bundle =
       makeBundle(chainText(64) + "s <= C0\ncons t\n",
                  makeConfig(GraphForm::Inductive, CycleElim::Online));
-  Bundle.Solver->materializeAllViews();
+  Bundle.Solver->finalize();
   QueryEngine Engine(std::move(Bundle));
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
   ASSERT_TRUE(Engine.rollbackArmed());

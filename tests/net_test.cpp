@@ -26,6 +26,7 @@
 #include "net/Server.h"
 #include "net/Socket.h"
 #include "serve/ServerCore.h"
+#include "support/FailPoint.h"
 #include "support/PRNG.h"
 
 #include "gtest/gtest.h"
@@ -201,7 +202,7 @@ std::unique_ptr<serve::ServerCore> makeCore(const std::string &Text,
     return nullptr;
   }
   System.emit(*Bundle.Solver);
-  Bundle.Solver->materializeAllViews();
+  Bundle.Solver->finalize();
 
   auto Core = std::make_unique<serve::ServerCore>(std::move(Bundle), CoreCfg);
   if (!Core->valid()) {
@@ -415,26 +416,88 @@ TEST(NetServerTest, CountersReportSocketQueries) {
   EXPECT_GT(replyField(Reply, "p99_us"), 0u) << Reply;
 }
 
+//===----------------------------------------------------------------------===//
+// Read views
+//===----------------------------------------------------------------------===//
+
+/// Disarms every failpoint when a test ends, pass or fail.
+struct FailPointGuard {
+  ~FailPointGuard() { FailPoint::disarmAll(); }
+};
+
+/// A QueryEngine over the constraint-file \p Text under \p Form.
+std::unique_ptr<serve::QueryEngine> makeEngine(const std::string &Text,
+                                               GraphForm Form) {
+  serve::SolverBundle Bundle;
+  Bundle.Constructors = std::make_unique<ConstructorTable>();
+  Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
+  Bundle.Solver = std::make_unique<ConstraintSolver>(
+      *Bundle.Terms, makeConfig(Form, CycleElim::Online));
+  ConstraintSystemFile System;
+  EXPECT_TRUE(System.parse(Text).ok());
+  System.emit(*Bundle.Solver);
+  return std::make_unique<serve::QueryEngine>(std::move(Bundle));
+}
+
+/// The oracle of the read-view tests: a fresh engine over a snapshot of
+/// \p Writer — the serialize/deserialize round trip views were once
+/// published through, sharing nothing with \p Writer's captures.
+std::unique_ptr<serve::QueryEngine> snapshotOracle(serve::QueryEngine &Writer) {
+  std::vector<uint8_t> Bytes;
+  EXPECT_TRUE(serve::GraphSnapshot::serialize(Writer.solver(), Bytes).ok());
+  serve::SolverBundle Bundle;
+  EXPECT_TRUE(serve::GraphSnapshot::deserialize(Bytes.data(), Bytes.size(),
+                                                Bundle)
+                  .ok());
+  return std::make_unique<serve::QueryEngine>(std::move(Bundle));
+}
+
+/// Every ls/pts/alias answer of \p View over \p Names (plus one unknown
+/// name) must equal the snapshot oracle's answer.
+void expectViewMatchesOracle(const serve::ReadView &View,
+                             serve::QueryEngine &Writer,
+                             const std::vector<std::string> &Names,
+                             const std::string &Where) {
+  std::unique_ptr<serve::QueryEngine> Oracle = snapshotOracle(Writer);
+  ASSERT_TRUE(Oracle->valid()) << Oracle->initError();
+  std::vector<std::string> Asked = Names;
+  Asked.push_back("no_such_var");
+  for (size_t I = 0; I != Asked.size(); ++I) {
+    const std::string &X = Asked[I];
+    const std::string &Y = Asked[(I * 7 + 3) % Asked.size()];
+    for (const std::string &Line :
+         {"ls " + X, "pts " + X, "alias " + X + " " + Y}) {
+      serve::Request Req = serve::parseRequest(Line);
+      EXPECT_EQ(serve::answerQuery(View, Req), Oracle->answer(Req))
+          << Where << ": " << Line;
+    }
+  }
+}
+
 TEST(ReadViewTest, AnswersMatchSettledWriter) {
-  // A published ReadView (serialize -> deserialize -> settle) must answer
-  // every request exactly as the writer's own settled solver does, after
-  // any add/retract history.
-  const uint32_t Vars = 20, Sources = 5;
+  // Every epoch of a seeded write sequence — adds (declarations
+  // included), retractions, a budget-breach rollback, and a reset from a
+  // snapshot — must answer exactly as a fresh engine over a snapshot of
+  // the writer, and must rebuild exactly the entries of representatives
+  // that are new or whose mutation epoch moved (all of them after a
+  // generation change), sharing the rest with its predecessor.
+  FailPointGuard Guard;
   for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
+    const char *FormName = Form == GraphForm::Standard ? "SF" : "IF";
     PRNG Rng(0x7265616400u + static_cast<uint64_t>(Form));
+    std::vector<std::string> Names, Cons = {"s0", "s1", "s2", "s3"};
+    for (uint32_t V = 0; V != 24; ++V)
+      Names.push_back("x" + std::to_string(V));
     auto RandomLine = [&] {
-      std::string Lhs =
-          Rng.nextBelow(3) == 0
-              ? "s" + std::to_string(Rng.nextBelow(Sources))
-              : "x" + std::to_string(Rng.nextBelow(Vars));
-      return Lhs + " <= x" + std::to_string(Rng.nextBelow(Vars));
+      auto Var = [&] { return Names[Rng.nextBelow(Names.size())]; };
+      std::string Lhs = Rng.nextBelow(3) == 0
+                            ? Cons[Rng.nextBelow(Cons.size())]
+                            : Var();
+      return Lhs + " <= " + Var();
     };
-    std::string Text;
-    for (uint32_t I = 0; I != Sources; ++I)
-      Text += "cons s" + std::to_string(I) + "\n";
-    Text += "var";
-    for (uint32_t V = 0; V != Vars; ++V)
-      Text += " x" + std::to_string(V);
+    std::string Text = "cons s0\ncons s1\ncons s2\ncons s3\nvar";
+    for (const std::string &Name : Names)
+      Text += " " + Name;
     Text += "\n";
     std::vector<std::string> Live;
     for (int I = 0; I != 30; ++I) {
@@ -444,51 +507,204 @@ TEST(ReadViewTest, AnswersMatchSettledWriter) {
         Text += Line + "\n";
       }
     }
+    std::unique_ptr<serve::QueryEngine> Engine = makeEngine(Text, Form);
+    ASSERT_TRUE(Engine->valid()) << Engine->initError();
 
-    serve::SolverBundle Bundle;
-    Bundle.Constructors = std::make_unique<ConstructorTable>();
-    Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
-    Bundle.Solver = std::make_unique<ConstraintSolver>(
-        *Bundle.Terms, makeConfig(Form, CycleElim::Online));
-    ConstraintSystemFile System;
-    ASSERT_TRUE(System.parse(Text).ok());
-    System.emit(*Bundle.Solver);
-    serve::QueryEngine Engine(std::move(Bundle));
-    ASSERT_TRUE(Engine.valid()) << Engine.initError();
+    // The representatives and mutation epochs of the previous capture.
+    std::vector<uint64_t> PrevEpoch;
+    std::vector<uint8_t> PrevLive;
+    size_t TotalRebuilt = 0, TotalLive = 0;
+    std::vector<uint8_t> ResetBytes;
+    std::vector<std::string> ResetLive, ResetNames;
+    bool RolledBack = false, Reset = false;
 
-    for (int Step = 0; Step != 40; ++Step) {
-      if (!Live.empty() && Rng.nextBelow(3) == 0) {
+    for (int Step = 0; Step != 48; ++Step) {
+      const std::string Where =
+          std::string(FormName) + " step " + std::to_string(Step);
+      if (Step == 12) {
+        // The state a later step resets to.
+        ASSERT_TRUE(
+            serve::GraphSnapshot::serialize(Engine->solver(), ResetBytes)
+                .ok());
+        ResetLive = Live;
+        ResetNames = Names;
+      }
+      if (Step == 20) {
+        // A forced budget breach rolls the engine back to a solver
+        // rebuilt from its base snapshot plus the replayed journal.
+        ASSERT_TRUE(FailPoint::armSpec("solver.budget=error").ok());
+        std::string Line = "s3 <= " + Names[Step % Names.size()];
+        if (std::find(Live.begin(), Live.end(), Line) != Live.end())
+          Line = "s2 <= " + Names[Step % Names.size()];
+        ASSERT_EQ(Engine->addConstraint(Line).code(),
+                  ErrorCode::BudgetExceeded)
+            << Where;
+        RolledBack = true;
+      } else if (Step == 36) {
+        ASSERT_TRUE(
+            Engine->resetFromSnapshot(ResetBytes.data(), ResetBytes.size())
+                .ok());
+        Live = ResetLive;
+        Names = ResetNames;
+        Reset = true;
+      } else if (Step % 9 == 4) {
+        std::string Name = "y" + std::to_string(Step);
+        ASSERT_TRUE(Engine->addConstraint("var " + Name).ok()) << Where;
+        Names.push_back(Name);
+      } else if (Step % 9 == 7) {
+        std::string Name = "c" + std::to_string(Step);
+        ASSERT_TRUE(Engine->addConstraint("cons " + Name).ok()) << Where;
+        std::string Line = Name + " <= " + Names[Rng.nextBelow(Names.size())];
+        ASSERT_TRUE(Engine->addConstraint(Line).ok()) << Where;
+        Live.push_back(Line);
+      } else if (!Live.empty() && Rng.nextBelow(3) == 0) {
         size_t Victim = Rng.nextBelow(Live.size());
-        ASSERT_TRUE(Engine.retractConstraint(Live[Victim]).ok())
-            << Live[Victim];
+        ASSERT_TRUE(Engine->retractConstraint(Live[Victim]).ok())
+            << Where << ": " << Live[Victim];
         Live.erase(Live.begin() + static_cast<ptrdiff_t>(Victim));
       } else {
         std::string Line = RandomLine();
-        if (std::find(Live.begin(), Live.end(), Line) != Live.end())
-          continue;
-        ASSERT_TRUE(Engine.addConstraint(Line).ok()) << Line;
-        Live.push_back(Line);
+        if (std::find(Live.begin(), Live.end(), Line) == Live.end()) {
+          ASSERT_TRUE(Engine->addConstraint(Line).ok()) << Where << Line;
+          Live.push_back(Line);
+        }
       }
-    }
 
-    std::vector<uint8_t> Bytes;
-    ASSERT_TRUE(serve::GraphSnapshot::serialize(Engine.solver(), Bytes).ok());
-    Expected<std::shared_ptr<const ReadView>> View =
-        ReadView::build(Bytes, /*Epoch=*/1);
-    ASSERT_TRUE(View.ok()) << View.status().toString();
-    for (uint32_t V = 0; V != Vars; ++V) {
-      std::string X = "x" + std::to_string(V);
-      std::string Y = "x" + std::to_string((V * 7 + 3) % Vars);
-      for (const std::string &Line :
-           {"ls " + X, "pts " + X, "alias " + X + " " + Y}) {
-        serve::Request Req = serve::parseRequest(Line);
-        EXPECT_EQ(serve::answerQuery((*View)->solver(), (*View)->system(),
-                                     Req),
-                  Engine.answer(Req))
-            << Line;
+      // Publish, as the socket writer does after a mutating batch.
+      std::shared_ptr<const serve::ReadView> View = Engine->view();
+      const ConstraintSolver &Solver = Engine->solver();
+      // The rollback and the reset install solvers rebuilt from bytes.
+      const bool NewGeneration = Step == 20 || Step == 36;
+      size_t Expected = 0, LiveNow = 0;
+      PrevEpoch.resize(Solver.numVars(), 0);
+      PrevLive.resize(Solver.numVars(), 0);
+      for (VarId Var = 0; Var != Solver.numVars(); ++Var) {
+        const bool IsLive = Solver.isLive(Var);
+        if (IsLive) {
+          ++LiveNow;
+          Expected += NewGeneration || !PrevLive[Var] ||
+                      PrevEpoch[Var] != Solver.mutationEpoch(Var);
+        }
+        PrevLive[Var] = IsLive;
+        PrevEpoch[Var] = Solver.mutationEpoch(Var);
       }
+      EXPECT_EQ(View->entriesRebuilt(), Expected) << Where;
+      if (NewGeneration)
+        EXPECT_EQ(View->entriesRebuilt(), LiveNow) << Where;
+      TotalRebuilt += View->entriesRebuilt();
+      TotalLive += LiveNow;
+      expectViewMatchesOracle(*View, *Engine, Names, Where);
     }
+    EXPECT_TRUE(RolledBack && Reset);
+    // Most epochs share most entries.
+    EXPECT_LT(TotalRebuilt * 2, TotalLive) << FormName;
   }
+}
+
+TEST(ReadViewTest, RollbackSharesNothingAcrossGenerations) {
+  // A rollback installs a solver rebuilt from the base snapshot, whose
+  // mutation epochs restart: X's epoch after the replay equals the epoch
+  // of its entry in the view captured before the journaled add, with a
+  // different solution. Only the generation keeps that entry from being
+  // shared.
+  FailPointGuard Guard;
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
+    std::unique_ptr<serve::QueryEngine> Engine =
+        makeEngine("cons a\ncons b\ncons c\nvar X Y\na <= X\nX <= Y\n", Form);
+    ASSERT_TRUE(Engine->valid()) << Engine->initError();
+    ASSERT_TRUE(Engine->rollbackArmed());
+    std::shared_ptr<const serve::ReadView> Before = Engine->view();
+    EXPECT_EQ(serve::answerQuery(*Before, serve::parseRequest("pts Y")),
+              "ok { a }");
+
+    ASSERT_TRUE(Engine->addConstraint("b <= X").ok());
+    ASSERT_TRUE(FailPoint::armSpec("solver.budget=error").ok());
+    ASSERT_EQ(Engine->addConstraint("c <= X").code(),
+              ErrorCode::BudgetExceeded);
+
+    std::shared_ptr<const serve::ReadView> After = Engine->view();
+    EXPECT_EQ(serve::answerQuery(*After, serve::parseRequest("pts Y")),
+              "ok { a, b }");
+    expectViewMatchesOracle(*After, *Engine, {"X", "Y"}, "after rollback");
+  }
+}
+
+TEST(ReadViewTest, CaptureLeavesSnapshotBytesUnchanged) {
+  // The socket writer captures after every write, and replicas compare
+  // checkpoint base ids, which are snapshot checksums: a capture that
+  // left the writer's solver settled would make a primary's checkpoint
+  // differ from its follower's replay of the same records.
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
+    std::unique_ptr<serve::QueryEngine> Engine =
+        makeEngine("cons a\ncons b\nvar X Y\na <= X\nX <= Y\n", Form);
+    ASSERT_TRUE(Engine->valid()) << Engine->initError();
+    ASSERT_TRUE(Engine->addConstraint("b <= X").ok());
+    std::vector<uint8_t> Before, After;
+    ASSERT_TRUE(
+        serve::GraphSnapshot::serialize(Engine->solver(), Before).ok());
+    EXPECT_EQ(serve::answerQuery(*Engine->view(),
+                                 serve::parseRequest("pts Y")),
+              "ok { a, b }");
+    ASSERT_TRUE(serve::GraphSnapshot::serialize(Engine->solver(), After).ok());
+    EXPECT_EQ(Before, After);
+  }
+}
+
+TEST(ReadViewTest, ReadersAnswerWhileWriterCaptures) {
+  // Views are read by many threads while the writer mutates its solver
+  // and captures the next epoch from the previous one — sharing its
+  // entries. Run under scripts/tsan.sh, this is the check that a view
+  // holds nothing the writer touches.
+  std::string Text = "cons s\nvar";
+  for (int V = 0; V != 16; ++V)
+    Text += " x" + std::to_string(V);
+  Text += "\ns <= x0\n";
+  std::unique_ptr<serve::QueryEngine> Engine =
+      makeEngine(Text, GraphForm::Inductive);
+  ASSERT_TRUE(Engine->valid()) << Engine->initError();
+  ViewPublisher Publisher;
+  Publisher.publish(Engine->view());
+
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Bad{0};
+  std::vector<std::thread> Readers;
+  for (int R = 0; R != 2; ++R)
+    Readers.emplace_back([&, R] {
+      uint64_t I = static_cast<uint64_t>(R);
+      while (!Stop.load(std::memory_order_relaxed)) {
+        std::shared_ptr<const serve::ReadView> View = Publisher.acquire();
+        std::string X = "x" + std::to_string(I % 16);
+        std::string Y = "x" + std::to_string((I * 5) % 16);
+        for (const std::string &Line :
+             {"ls " + X, "pts " + X, "alias " + X + " " + Y})
+          Bad += serve::answerQuery(*View, serve::parseRequest(Line))
+                     .rfind("ok ", 0) != 0;
+        ++I;
+      }
+    });
+  // A chain x0 <= x1 <= ... grows s's reach one variable per add, then
+  // shrinks back as the links are retracted.
+  for (int V = 0; V + 1 != 16; ++V) {
+    ASSERT_TRUE(Engine
+                    ->addConstraint("x" + std::to_string(V) + " <= x" +
+                                    std::to_string(V + 1))
+                    .ok());
+    Publisher.publish(Engine->view());
+  }
+  for (int V = 14; V >= 0; --V) {
+    ASSERT_TRUE(Engine
+                    ->retractConstraint("x" + std::to_string(V) + " <= x" +
+                                        std::to_string(V + 1))
+                    .ok());
+    Publisher.publish(Engine->view());
+  }
+  Stop = true;
+  for (std::thread &T : Readers)
+    T.join();
+  EXPECT_EQ(Bad.load(), 0u);
+  EXPECT_EQ(serve::answerQuery(*Publisher.acquire(),
+                               serve::parseRequest("pts x15")),
+            "ok {}");
 }
 
 TEST(NetServerTest, PipelinedRequestsAnswerInOrder) {
@@ -922,7 +1138,7 @@ TEST(NetReplicationTest, FollowerRefusesReplicateHandshake) {
 // Regression: `verify` must judge convergence by answer identity, not
 // serialized-byte identity. A follower started the way `scserved
 // --follow` starts one — cold bootstrap to disk, GraphSnapshot::load,
-// materializeAllViews, recover — replays the WAL tail onto a
+// finalize, recover — replays the WAL tail onto a
 // deserialized graph and can collapse cycles onto different (equally
 // valid) representatives than the live-solved primary, so the two
 // serialized byte streams never match while every answer does; a
@@ -985,7 +1201,7 @@ TEST(NetReplicationTest, VerifyConvergesAcrossRepresentationDivergence) {
   uint64_t FolBase = 0;
   Status Loaded = serve::GraphSnapshot::load(FolSnap, FolBundle, &FolBase);
   ASSERT_TRUE(Loaded.ok()) << Loaded.toString();
-  FolBundle.Solver->materializeAllViews();
+  FolBundle.Solver->finalize();
   serve::ServerCoreConfig FolCfg;
   FolCfg.SnapshotPath = FolSnap;
   FolCfg.WalPath = replTempPath("canon_fol.wal");
