@@ -52,6 +52,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 using namespace poce;
 
@@ -1170,9 +1171,11 @@ int emitTrajectory(const std::string &Path) {
     std::fprintf(File, "%s,\n", Prior.c_str());
   std::fprintf(File,
                "  {\"timestamp\": \"%s\", \"mode\": \"emit_trajectory\",\n"
-               "   \"repeats\": %u, \"scale\": %.2f, \"threads\": %u,\n"
+               "   \"repeats\": %u, \"scale\": %.2f, \"threads\": %u, "
+               "\"nproc\": %u,\n"
                "   \"entries\": [\n",
-               Timestamp.c_str(), Repeats, Scale, Threads);
+               Timestamp.c_str(), Repeats, Scale, Threads,
+               std::thread::hardware_concurrency());
   std::printf("=== micro_solver trajectory (best of %u, %u lanes) ===\n",
               Repeats, Threads);
 

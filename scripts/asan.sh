@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the serve subsystem under AddressSanitizer and runs the SCC,
-# snapshot, query-engine, read-path, WAL, and fault-injection tests plus
-# the scserved end-to-end smoke and crash-recovery scripts.
+# snapshot, query-engine, read-path, WAL, fault-injection, retraction and
+# least-solution tests plus the scserved end-to-end smoke and
+# crash-recovery scripts.
 #
 # The snapshot loader and the WAL replayer consume untrusted bytes, so
 # every bounds bug in them is memory-unsafe by definition; this script is
@@ -17,9 +18,11 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build-asan
 cmake -B "$BUILD_DIR" -S . -DPOCE_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target serve_tests core_tests net_tests \
-  scserved scsolve scnetcat
+  setcon_tests scserved scsolve scnetcat
+# The retraction cone and the incremental least-solution settle index
+# CSR offsets and per-variable flag arrays: run their suites here too.
 (cd "$BUILD_DIR" && ctest --output-on-failure \
-  -R '(SCCTest|TarjanRandomTest|NuutilaRandomTest|Snapshot|QueryEngine|Render|ReadView|CountersReport|ProtocolMatches|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry)' \
+  -R '(SCCTest|TarjanRandomTest|NuutilaRandomTest|Snapshot|QueryEngine|Render|ReadView|CountersReport|ProtocolMatches|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry|RetractTest|RetractSweepTest|RetractInterleaveStressTest|BitvectorLSTest|IncrementalSettleTest)' \
   "$@")
 scripts/serve_smoke.sh "$BUILD_DIR"
 # The socket layer parses untrusted network bytes (framing, size limits)

@@ -158,8 +158,7 @@ Status fail(ErrorCode Code, const std::string &Message) {
 
 } // namespace
 
-Status GraphSnapshot::serialize(ConstraintSolver &Solver,
-                                std::vector<uint8_t> &Out) {
+Status GraphSnapshot::checkSerializable(ConstraintSolver &Solver) {
   if (Solver.Options.Elim == CycleElim::Oracle)
     return fail(ErrorCode::FailedPrecondition,
                 "oracle-eliminated solvers cannot be snapshotted "
@@ -171,6 +170,13 @@ Status GraphSnapshot::serialize(ConstraintSolver &Solver,
                     std::string(SolverStats::abortReasonName(
                         Solver.Stats.Abort)) +
                     " budget exceeded)");
+  return Status();
+}
+
+Status GraphSnapshot::serialize(ConstraintSolver &Solver,
+                                std::vector<uint8_t> &Out) {
+  if (Status St = checkSerializable(Solver); !St)
+    return St;
 
   const uint64_t StartUs = trace::nowMicros();
   ByteWriter W;

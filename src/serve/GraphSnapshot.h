@@ -73,6 +73,10 @@ public:
   static Status serialize(ConstraintSolver &Solver,
                           std::vector<uint8_t> &Out);
 
+  /// The error serialize() would fail with, without serializing (drains
+  /// the worklist first, as serialize() does).
+  static Status checkSerializable(ConstraintSolver &Solver);
+
   /// serialize() + crash-safe write to \p Path (writeFileAtomic: temp
   /// file + fsync + rename + directory fsync), so a crash mid-save can
   /// never leave a truncated snapshot where a good one stood.

@@ -7,6 +7,7 @@
 #include "serve/QueryEngine.h"
 
 #include "serve/Wal.h"
+#include "support/FailPoint.h"
 
 using namespace poce;
 using namespace poce::serve;
@@ -23,12 +24,20 @@ QueryEngine::QueryEngine(SolverBundle InBundle)
     return;
   }
   Valid = true;
-  // The base capture drains the worklist (serialize() solves first), so a
-  // bundle handed over mid-solve settles here before the first query.
-  Status Base = GraphSnapshot::serialize(*Bundle.Solver, BaseBytes);
-  RollbackArmed = Base.ok();
-  if (!RollbackArmed)
-    BaseBytes.clear();
+  // Drains the worklist, so a bundle handed over mid-solve settles here
+  // before the first query.
+  RollbackArmed = GraphSnapshot::checkSerializable(*Bundle.Solver).ok();
+}
+
+void QueryEngine::captureBaseIfAbortable() {
+  if (HaveBase || !RollbackArmed)
+    return;
+  const SolverOptions &O = Bundle.Solver->options();
+  if (!O.DeadlineMs && !O.MaxEdgeBudget && !O.MaxMemBytes && !O.MaxWork &&
+      !FailPoint::armedCount())
+    return;
+  HaveBase = GraphSnapshot::serialize(*Bundle.Solver, BaseBytes).ok();
+  BaseLines = AcceptedLines.size();
 }
 
 std::shared_ptr<const ReadView> QueryEngine::view() {
@@ -55,6 +64,7 @@ Status QueryEngine::addConstraint(const std::string &Line) {
   if (!Valid)
     return Status::error(ErrorCode::FailedPrecondition,
                          "engine is invalid: " + InitError);
+  captureBaseIfAbortable();
   Status St = System.addLine(Line, *Bundle.Solver);
   if (!St)
     return St;
@@ -107,6 +117,7 @@ Status QueryEngine::retractConstraint(const std::string &Line) {
   Status St = System.canonicalizeConstraint(Line, *Bundle.Solver, Canon);
   if (!St)
     return St;
+  captureBaseIfAbortable();
   if (!Bundle.Solver->retract(Canon))
     return Status::error(ErrorCode::NotFound,
                          "no live constraint '" + Canon + "' to retract");
@@ -140,9 +151,13 @@ Status QueryEngine::retractConstraint(const std::string &Line) {
 }
 
 Status QueryEngine::rollback() {
-  if (!RollbackArmed)
+  if (!HaveBase)
     return Status::error(ErrorCode::FailedPrecondition,
-                         "no rollback base (solver was not serializable)");
+                         RollbackArmed
+                             ? "no rollback base (captured only before "
+                               "batches that can abort)"
+                             : "no rollback base (solver was not "
+                               "serializable)");
 
   // The live solver's budgets win over whatever the base snapshot
   // recorded (callers may have re-armed them since the base was taken).
@@ -164,7 +179,8 @@ Status QueryEngine::rollback() {
   if (!Adopt)
     return Adopt.withContext("re-adopting declarations during rollback");
   constexpr size_t PrefixLen = sizeof(WalRetractPrefix) - 1;
-  for (const std::string &Line : AcceptedLines) {
+  for (size_t I = BaseLines; I != AcceptedLines.size(); ++I) {
+    const std::string &Line = AcceptedLines[I];
     if (Line.compare(0, PrefixLen, WalRetractPrefix) == 0) {
       // Journaled retractions store the canonical text, so they apply
       // directly — each matched a live constraint when first accepted.
@@ -209,6 +225,8 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
   ViewStale = true;
   AcceptedLines.clear();
   BaseBytes.assign(Data, Data + Size);
+  HaveBase = true;
+  BaseLines = 0;
   RollbackArmed = true;
   Valid = true;
   InitError.clear();
@@ -219,12 +237,13 @@ Status QueryEngine::checkpointBase() {
   if (!Valid)
     return Status::error(ErrorCode::FailedPrecondition,
                          "engine is invalid: " + InitError);
-  std::vector<uint8_t> Fresh;
-  Status St = GraphSnapshot::serialize(*Bundle.Solver, Fresh);
+  Status St = GraphSnapshot::checkSerializable(*Bundle.Solver);
   if (!St)
     return St.withContext("checkpointing rollback base");
-  BaseBytes = std::move(Fresh);
+  BaseBytes = std::vector<uint8_t>();
+  HaveBase = false;
   AcceptedLines.clear();
+  BaseLines = 0;
   RollbackArmed = true;
   return Status();
 }

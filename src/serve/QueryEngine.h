@@ -13,15 +13,18 @@
 /// the warm graph, exactly as it would have during the original solve.
 ///
 /// The engine owns its SolverBundle so it can make constraint batches
-/// transactional against resource budgets: at construction (and at every
-/// checkpointBase()) it captures a serialized base snapshot, and every
-/// accepted constraint line is journaled. When an addition trips a budget
-/// (deadline, edge, or memory — see SolverOptions) the closure aborts
-/// mid-flight and leaves the graph half-propagated; the engine then rolls
-/// back by rebuilding the bundle from the base snapshot and replaying the
-/// journal with budgets disabled, which restores a state bit-identical to
-/// the one before the offending line. The caller sees a clean
-/// BudgetExceeded error and can keep querying.
+/// transactional against resource budgets: it captures a serialized base
+/// snapshot before the first batch that could abort (a budget, MaxWork
+/// or an armed failpoint is set) after construction or checkpointBase(),
+/// and every accepted constraint line is journaled. When an addition
+/// trips a budget (deadline, edge, or memory — see SolverOptions) the
+/// closure aborts mid-flight and leaves the graph half-propagated; the
+/// engine then rolls back by rebuilding the bundle from the base snapshot
+/// and replaying the journal lines accepted after it with budgets
+/// disabled, which restores a state bit-identical to the one before the
+/// offending line. The caller sees a clean BudgetExceeded error and can
+/// keep querying. An engine whose batches can never abort never pays for
+/// a base.
 ///
 /// Reads go through one function, answerQuery(), over an immutable
 /// ReadView (serve/ReadView.h). view() captures one from the engine's
@@ -64,17 +67,18 @@ public:
 
   /// Takes ownership of \p Bundle, adopting its declarations so textual
   /// queries and constraints can reference every existing variable and
-  /// constructor, and captures the rollback base snapshot. Check valid()
-  /// (adoption fails on duplicate variable names). Base capture can fail
-  /// without invalidating the engine (e.g. Oracle-eliminated solvers are
-  /// not serializable); the engine then runs with rollback disarmed and
-  /// budget breaches become unrecoverable for the batch.
+  /// constructor, and closes any deferred work. Check valid() (adoption
+  /// fails on duplicate variable names). A solver that cannot be
+  /// serialized (e.g. Oracle-eliminated) does not invalidate the engine;
+  /// it runs with rollback disarmed and budget breaches become
+  /// unrecoverable for the batch.
   explicit QueryEngine(SolverBundle Bundle);
 
   bool valid() const { return Valid; }
   const std::string &initError() const { return InitError; }
 
-  /// True when a budget abort can be rolled back (base snapshot captured).
+  /// True when a budget abort can be rolled back (the solver can be
+  /// serialized, so a base is or will be captured before the batch).
   bool rollbackArmed() const { return RollbackArmed; }
 
   /// The read view of the engine's current state. Captured on the first
@@ -121,10 +125,11 @@ public:
   Status checkRetract(const std::string &Line,
                       std::string *Canon = nullptr) const;
 
-  /// Re-captures the rollback base from the current graph and clears the
-  /// journal. Call after persisting a snapshot so the journal stays in
-  /// lockstep with the on-disk WAL. Fails for non-serializable solvers
-  /// (rollback stays armed on the previous base in that case).
+  /// Moves the rollback base to the current graph (captured lazily, like
+  /// the first one) and clears the journal. Call after persisting a
+  /// snapshot so the journal stays in lockstep with the on-disk WAL.
+  /// Fails for non-serializable solvers (rollback stays armed on the
+  /// previous base in that case).
   Status checkpointBase();
 
   /// Replaces the engine's entire state with the graph deserialized from
@@ -147,10 +152,14 @@ public:
   const ConstraintSystemFile &system() const { return System; }
 
 private:
-  /// Rebuilds the bundle from BaseBytes and replays AcceptedLines with
-  /// budgets disabled (they were each within budget when first accepted;
-  /// re-aborting mid-restore would lose the graph). Leaves the engine
-  /// untouched on failure.
+  /// Captures the rollback base from the current (pre-batch) graph when
+  /// none is held and the next batch could abort.
+  void captureBaseIfAbortable();
+
+  /// Rebuilds the bundle from BaseBytes and replays the journal lines
+  /// accepted since the base with budgets disabled (they were each within
+  /// budget when first accepted; re-aborting mid-restore would lose the
+  /// graph). Leaves the engine untouched on failure.
   Status rollback();
 
   SolverBundle Bundle;
@@ -160,7 +169,9 @@ private:
   bool RollbackArmed = false;
   std::string InitError;
   std::vector<uint8_t> BaseBytes;          ///< Rollback base snapshot.
-  std::vector<std::string> AcceptedLines;  ///< Journal since the base.
+  bool HaveBase = false;                   ///< BaseBytes is captured.
+  std::vector<std::string> AcceptedLines;  ///< Journal since checkpoint.
+  size_t BaseLines = 0; ///< AcceptedLines already inside BaseBytes.
   /// Bumped whenever the solver is replaced by one rebuilt from bytes
   /// (rollback(), resetFromSnapshot()): its term ids and mutation epochs
   /// restart, so view() shares nothing across a bump.

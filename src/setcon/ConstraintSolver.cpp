@@ -206,10 +206,12 @@ void ConstraintSolver::runOfflinePass() {
   Stats.HVNLabels = Equiv.Labels;
   if (!Equiv.Merges.empty()) {
     invalidateWaveOrder();
+    saveSettledReps();
     for (auto [Var, Witness] : Equiv.Merges) {
       bool United = Forwarding.unite(Var, Witness);
       assert(United && "offline merge of a non-representative!");
       (void)United;
+      markLSDirty(Witness);
     }
   }
   if (Timed) {
@@ -244,12 +246,7 @@ void ConstraintSolver::invalidateSolutions() {
   if (!Finalized)
     return;
   Finalized = false;
-  // Keep the settled solutions aside: the next finalize() diffs the fresh
-  // LSBits against them and bumps the mutation epochs of exactly the
-  // variables whose solutions changed (inductive form; standard form
-  // bumps eagerly at each source arrival and leaves these empty).
-  PrevLSBits = std::move(LSBits);
-  LSBits.clear();
+  // LSBits stay: the next settle recomputes only what changed since.
   LSView.clear();
   LSViewBuilt.clear();
 }
@@ -628,6 +625,7 @@ bool ConstraintSolver::insertPred(VarId Owner, uint32_t Entry, bool Derived) {
     return false;
   }
   Node.Preds.push_back(Entry);
+  markLSDirty(Owner);
   if (!isTermRef(Entry))
     invalidateWaveOrder();
   else
@@ -976,6 +974,8 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
 
   ++Stats.CyclesCollapsed;
   invalidateWaveOrder();
+  saveSettledReps();
+  markLSDirty(Witness);
   // Unite first so representative lookups during re-adding see the final
   // classes.
   for (VarId Var : Cycle) {
@@ -1042,11 +1042,80 @@ void ConstraintSolver::collectExprVars(ExprId Expr,
   }
 }
 
+namespace {
+
+/// Compressed adjacency built from (key, value) pairs by counting sort:
+/// the values of key K are Values[Start[K] .. Start[K + 1]), in the order
+/// the pairs were listed.
+struct CSRMap {
+  std::vector<uint32_t> Start, Values;
+
+  CSRMap(size_t NumKeys,
+         const std::vector<std::pair<uint32_t, uint32_t>> &Pairs)
+      : Start(NumKeys + 1, 0), Values(Pairs.size()) {
+    for (const auto &[Key, Value] : Pairs)
+      ++Start[Key + 1];
+    for (size_t K = 0; K != NumKeys; ++K)
+      Start[K + 1] += Start[K];
+    std::vector<uint32_t> Fill(Start.begin(), Start.end() - 1);
+    for (const auto &[Key, Value] : Pairs)
+      Values[Fill[Key]++] = Value;
+  }
+
+  template <typename Fn> void forEach(uint32_t Key, Fn &&F) const {
+    for (uint32_t I = Start[Key], E = Start[Key + 1]; I != E; ++I)
+      F(Values[I]);
+  }
+};
+
+} // namespace
+
 void ConstraintSolver::computeRetractionCone(
     ExprId RootL, ExprId RootR, std::vector<uint8_t> &ConeVar,
-    std::vector<uint8_t> &MentionsCone) {
-  // Representative-level flags during the fixpoint; class wholeness is
-  // applied when the raw per-VarId flags are derived at the end.
+    std::vector<VarId> &ConeList, std::vector<uint8_t> &MentionsCone) {
+  // The reverse maps, in one pass over the live representatives:
+  //  * RevPred: variable successors stored as predecessor entries (an
+  //    inductive-form X <= Y kept in pred(Y)); successors stored as
+  //    successor entries are read from the lists directly.
+  //  * Holders: the representatives holding each term in a term bitmap.
+  //  * MentionedBy: for each representative, the held terms whose tree
+  //    mentions a member of its class (each distinct held term once).
+  std::vector<std::pair<uint32_t, uint32_t>> RevPredPairs, HolderPairs,
+      MentionPairs;
+  std::vector<uint8_t> HeldSeen(Terms.size(), 0);
+  std::vector<VarId> TermVars;
+  for (VarId Var = 0; Var != numVars(); ++Var) {
+    if (!Forwarding.isRepresentative(Var))
+      continue;
+    const VarNode &Node = Vars[Var];
+    for (uint32_t Pred : Node.Preds) {
+      if (isTermRef(Pred))
+        continue;
+      VarId PredRep = Forwarding.find(payloadOf(Pred));
+      if (PredRep != Var)
+        RevPredPairs.push_back({PredRep, Var});
+    }
+    // SrcDelta is a subset of PredTerms, so the two term bitmaps cover
+    // everything the node holds.
+    auto Hold = [&](uint32_t Term) {
+      HolderPairs.push_back({Term, Var});
+      if (HeldSeen[Term])
+        return;
+      HeldSeen[Term] = 1;
+      TermVars.clear();
+      collectExprVars(Term, TermVars);
+      for (VarId Mentioned : TermVars)
+        MentionPairs.push_back({Forwarding.find(Mentioned), Term});
+    };
+    Node.PredTerms.forEach(Hold);
+    Node.SuccTerms.forEach(Hold);
+  }
+  const CSRMap RevPred(numVars(), RevPredPairs);
+  const CSRMap Holders(Terms.size(), HolderPairs);
+  const CSRMap MentionedBy(numVars(), MentionPairs);
+
+  // Representative-level flags during the fixpoint; class wholeness (a)
+  // is applied when the raw per-VarId flags are derived at the end.
   std::vector<uint8_t> ConeRep(numVars(), 0);
   std::vector<VarId> Frontier;
   auto AddVar = [&](VarId Var) {
@@ -1056,90 +1125,77 @@ void ConstraintSolver::computeRetractionCone(
       Frontier.push_back(Rep);
     }
   };
-  std::vector<VarId> Seeds;
-  collectExprVars(RootL, Seeds);
-  collectExprVars(RootR, Seeds);
-  for (VarId Var : Seeds)
+  TermVars.clear();
+  collectExprVars(RootL, TermVars);
+  collectExprVars(RootR, TermVars);
+  for (VarId Var : TermVars)
     AddVar(Var);
 
-  // (b) forward flow: sources the retracted constraint injected can have
-  // flowed to anything downstream along variable-variable edges, so the
-  // cone is forward-closed over the current variable graph. Conversely,
-  // a variable *not* downstream of any cone variable cannot hold a
-  // source that depended on the retracted root.
-  Digraph G = varVarDigraph();
-
-  MentionsCone.assign(Terms.size(), 0);
-  std::vector<VarId> TermVars;
-  for (;;) {
-    while (!Frontier.empty()) {
-      VarId Rep = Frontier.back();
-      Frontier.pop_back();
-      for (VarId Succ : G.successors(Rep))
-        AddVar(Succ);
-    }
-    // Terms mentioning a cone variable, in one ascending pass (arguments
-    // are interned before any term that uses them, so smaller ids are
-    // final by the time a constructed term asks).
-    for (ExprId Id = 0; Id != Terms.size(); ++Id) {
-      switch (Terms.kind(Id)) {
-      case ExprKind::Var:
-        MentionsCone[Id] = ConeRep[Forwarding.find(Terms.varOf(Id))];
-        break;
-      case ExprKind::Cons: {
-        uint8_t Mentions = 0;
-        const ExprId *Args = Terms.argsOf(Id);
-        for (unsigned I = 0, E = Terms.numArgs(Id); I != E && !Mentions;
-             ++I)
-          Mentions = MentionsCone[Args[I]];
-        MentionsCone[Id] = Mentions;
-        break;
-      }
-      default:
-        MentionsCone[Id] = 0;
-        break;
-      }
-    }
+  std::vector<uint8_t> HeldMentionsCone(Terms.size(), 0);
+  while (!Frontier.empty()) {
+    VarId Rep = Frontier.back();
+    Frontier.pop_back();
+    // (b) forward flow: sources the retracted constraint injected can
+    // have flowed to anything downstream along variable-variable edges,
+    // so the cone is forward-closed over the current variable graph.
+    // Conversely, a variable *not* downstream of any cone variable cannot
+    // hold a source that depended on the retracted root.
+    for (uint32_t Succ : Vars[Rep].Succs)
+      if (!isTermRef(Succ))
+        AddVar(payloadOf(Succ));
+    RevPred.forEach(Rep, AddVar);
     // (c) variables occurring in terms a cone variable holds: rebuilding
     // the holder re-fires the decomposition that derived their edges, so
-    // their state must be rebuilt in the same sweep. (d) variables
-    // holding terms that mention a cone variable: their source x sink
-    // pairings are what re-derive the cone's decomposition edges, and
-    // pairings only fire on insertion — an untouched holder would never
-    // re-deliver.
-    bool Grew = false;
-    for (VarId Var = 0; Var != numVars(); ++Var) {
-      if (!Forwarding.isRepresentative(Var))
-        continue;
-      const VarNode &Node = Vars[Var];
-      // SrcDelta is a subset of PredTerms, so scanning the two term
-      // bitmaps covers everything the node holds.
-      auto Scan = [&](const SparseBitVector &Bits) {
-        Bits.forEach([&](uint32_t Term) {
-          if (ConeRep[Forwarding.find(Var)]) {
-            TermVars.clear();
-            collectExprVars(Term, TermVars);
-            for (VarId Mentioned : TermVars)
-              if (!ConeRep[Forwarding.find(Mentioned)]) {
-                AddVar(Mentioned);
-                Grew = true;
-              }
-          } else if (MentionsCone[Term]) {
-            AddVar(Var);
-            Grew = true;
-          }
-        });
-      };
-      Scan(Node.PredTerms);
-      Scan(Node.SuccTerms);
-    }
-    if (!Grew && Frontier.empty())
+    // their state must be rebuilt in the same sweep.
+    auto Decompose = [&](uint32_t Term) {
+      TermVars.clear();
+      collectExprVars(Term, TermVars);
+      for (VarId Mentioned : TermVars)
+        AddVar(Mentioned);
+    };
+    Vars[Rep].PredTerms.forEach(Decompose);
+    Vars[Rep].SuccTerms.forEach(Decompose);
+    // (d) variables holding terms that mention a cone variable: their
+    // source x sink pairings are what re-derive the cone's decomposition
+    // edges, and pairings only fire on insertion — an untouched holder
+    // would never re-deliver.
+    MentionedBy.forEach(Rep, [&](uint32_t Term) {
+      if (HeldMentionsCone[Term])
+        return;
+      HeldMentionsCone[Term] = 1;
+      Holders.forEach(Term, AddVar);
+    });
+  }
+
+  // Terms mentioning a cone variable, in one ascending pass (arguments
+  // are interned before any term that uses them, so smaller ids are
+  // final by the time a constructed term asks).
+  MentionsCone.assign(Terms.size(), 0);
+  for (ExprId Id = 0; Id != Terms.size(); ++Id) {
+    switch (Terms.kind(Id)) {
+    case ExprKind::Var:
+      MentionsCone[Id] = ConeRep[Forwarding.find(Terms.varOf(Id))];
       break;
+    case ExprKind::Cons: {
+      uint8_t Mentions = 0;
+      const ExprId *Args = Terms.argsOf(Id);
+      for (unsigned I = 0, E = Terms.numArgs(Id); I != E && !Mentions; ++I)
+        Mentions = MentionsCone[Args[I]];
+      MentionsCone[Id] = Mentions;
+      break;
+    }
+    default:
+      break;
+    }
   }
 
   ConeVar.assign(numVars(), 0);
+  ConeList.clear();
   for (VarId Var = 0; Var != numVars(); ++Var)
-    ConeVar[Var] = ConeRep[Forwarding.find(Var)];
+    if (ConeRep[Forwarding.find(Var)]) {
+      ConeVar[Var] = 1;
+      ConeList.push_back(Var);
+    }
 }
 
 bool ConstraintSolver::classCycleSurvives(const std::vector<VarId> &Members) {
@@ -1216,14 +1272,8 @@ bool ConstraintSolver::retract(const std::string &Tag) {
   invalidateSolutions();
 
   std::vector<uint8_t> ConeVar, MentionsCone;
-  computeRetractionCone(RootL, RootR, ConeVar, MentionsCone);
-
-  // Cone classes with their members, captured before any split changes
-  // the forwarding structure.
-  std::vector<std::vector<VarId>> ClassMembers(numVars());
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (ConeVar[Var])
-      ClassMembers[Forwarding.find(Var)].push_back(Var);
+  std::vector<VarId> ConeList;
+  computeRetractionCone(RootL, RootR, ConeVar, ConeList, MentionsCone);
 
   // Scrub: drop the untouched remainder's edges into the cone; the
   // replay re-derives exactly the surviving ones (insertion pairs a new
@@ -1231,24 +1281,25 @@ bool ConstraintSolver::retract(const std::string &Tag) {
   // order-independent). Raw-id checks suffice because cone membership is
   // class-whole. Term entries stay: an outside variable's sources never
   // depended on the retracted root — rule (b) would have pulled it in.
+  // Only lists that hold a cone entry are rebuilt.
   for (VarId Var = 0; Var != numVars(); ++Var) {
     if (ConeVar[Var] || !Forwarding.isRepresentative(Var))
       continue;
     VarNode &Node = Vars[Var];
     auto Scrub = [&](std::vector<uint32_t> &List, DenseU64Set &VarSet) {
-      std::vector<uint32_t> Fresh;
-      Fresh.reserve(List.size());
-      for (uint32_t Entry : List) {
-        if (!isTermRef(Entry) && ConeVar[payloadOf(Entry)])
-          continue;
-        Fresh.push_back(Entry);
-      }
-      List = std::move(Fresh);
+      auto InCone = [&](uint32_t Entry) {
+        return !isTermRef(Entry) && ConeVar[payloadOf(Entry)];
+      };
+      if (std::none_of(List.begin(), List.end(), InCone))
+        return;
+      List.erase(std::remove_if(List.begin(), List.end(), InCone),
+                 List.end());
       DenseU64Set FreshSet;
       for (uint32_t Entry : List)
         if (!isTermRef(Entry))
           FreshSet.insert(Entry);
       VarSet = std::move(FreshSet);
+      markLSDirty(Var);
     };
     Scrub(Node.Preds, Node.PredVarSet);
     Scrub(Node.Succs, Node.SuccVarSet);
@@ -1259,24 +1310,32 @@ bool ConstraintSolver::retract(const std::string &Tag) {
   // Otherwise (including every offline HVN-merged class, which has no
   // online witness cycle) the class dissolves into singletons and the
   // replay lets online detection re-collapse whatever cycles remain —
-  // splitting is always sound because the whole class is rebuilt.
-  for (VarId Rep = 0; Rep != numVars(); ++Rep) {
-    const std::vector<VarId> &Members = ClassMembers[Rep];
-    if (Members.size() < 2)
+  // splitting is always sound because the whole class is rebuilt. The
+  // classes are read off the cone sorted by representative before any
+  // split changes the forwarding structure.
+  std::vector<std::pair<VarId, VarId>> ByClass;
+  ByClass.reserve(ConeList.size());
+  for (VarId Var : ConeList)
+    ByClass.push_back({Forwarding.find(Var), Var});
+  std::sort(ByClass.begin(), ByClass.end());
+  std::vector<VarId> Members;
+  for (size_t I = 0, End; I != ByClass.size(); I = End) {
+    Members.clear();
+    for (End = I; End != ByClass.size() && ByClass[End].first ==
+                                                ByClass[I].first; ++End)
+      Members.push_back(ByClass[End].second);
+    if (Members.size() < 2 || classCycleSurvives(Members))
       continue;
-    if (!classCycleSurvives(Members)) {
-      for (VarId Member : Members)
-        Forwarding.reset(Member);
-      ++Stats.CollapsesSplit;
-    }
+    saveSettledReps();
+    for (VarId Member : Members)
+      Forwarding.reset(Member);
+    ++Stats.CollapsesSplit;
   }
 
   // Reset every cone variable to a fresh node (the collapseCycle idiom)
   // and mark its solution changed; the replay rebuilds it from surviving
   // provenance.
-  for (VarId Var = 0; Var != numVars(); ++Var) {
-    if (!ConeVar[Var])
-      continue;
+  for (VarId Var : ConeList) {
     VarNode &Node = Vars[Var];
     Node.Preds.clear();
     Node.Succs.clear();
@@ -1286,6 +1345,7 @@ bool ConstraintSolver::retract(const std::string &Tag) {
     Node.SuccTerms = SparseBitVector();
     Node.SrcDelta = SparseBitVector();
     bumpEpoch(Var);
+    markLSDirty(Var);
     ++Stats.ConeVarsRecomputed;
   }
   invalidateWaveOrder();
@@ -1317,36 +1377,23 @@ void ConstraintSolver::finalize() {
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
   LSView.assign(numVars(), {});
   LSViewBuilt.assign(numVars(), 0);
+  const bool Inductive = Options.Form == GraphForm::Inductive;
+  if (!Inductive)
+    LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
   unsigned Threads = ThreadPool::resolveThreads(Options.Threads);
   if (Threads <= 1) {
-    if (Options.Form == GraphForm::Inductive)
-      computeLeastSolutionIF();
-    else
-      LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
+    if (Inductive)
+      settleLeastSolutionsIF();
   } else {
+    // Only an all-dirty settle is worth the wavefront; later settles
+    // recompute a few representatives and take the sequential walk.
     ThreadPool Pool(Threads);
-    if (Options.Form == GraphForm::Inductive)
+    if (Inductive && LSAllDirty)
       computeLeastSolutionIFParallel(Pool);
-    else
-      LSBits.clear();
+    else if (Inductive)
+      settleLeastSolutionsIF();
     materializeAllSolutions(Pool);
   }
-  // Inductive form settles solutions only here, so this is the one place
-  // the per-variable mutation epochs can see downstream effects: diff the
-  // fresh LSBits against the previous settled state and bump exactly the
-  // changed variables (a variable collapsed away since the last finalize
-  // diffs nonempty -> empty, which is harmless — its representative
-  // changed, so no cached view keys on it anymore).
-  if (Options.Form == GraphForm::Inductive) {
-    const SparseBitVector Empty;
-    for (VarId Var = 0; Var != numVars(); ++Var) {
-      const SparseBitVector &Prev =
-          Var < PrevLSBits.size() ? PrevLSBits[Var] : Empty;
-      if (!(LSBits[Var] == Prev))
-        bumpEpoch(Var);
-    }
-  }
-  PrevLSBits.clear();
   if (Timed) {
     leastSolutionHistogram().record(trace::nowMicros() - StartUs);
     trace::complete("solver.least_solution", StartUs);
@@ -1376,30 +1423,77 @@ const std::vector<ExprId> &ConstraintSolver::materializeLS(VarId Rep) {
   return LSView[Rep];
 }
 
+void ConstraintSolver::saveSettledReps() {
+  if (LSAllDirty || LSRepsSaved)
+    return;
+  LSRepsSaved = true;
+  LSSettledRep.resize(numVars());
+  for (VarId Var = 0; Var != numVars(); ++Var)
+    LSSettledRep[Var] = Forwarding.find(Var);
+}
+
 // In inductive form every variable predecessor has a smaller order index,
-// so processing representatives in increasing order makes equation (1) of
-// the paper a single pass:
+// and so has every stale entry (it was a representative of lower order
+// when inserted, and its class witness is lower still), so visiting
+// variables in increasing order makes equation (1) of the paper a single
+// pass:
 //   LS(Y) = {c | c in pred(Y)} ∪ ⋃_{X in pred(Y)} LS(X).
 // Each union is a word-level bitmap merge, and predecessor entries that
 // resolve to the same representative (common after collapses) union once
 // per variable thanks to the epoch mark — the accumulation stays linear in
-// bitmap words where the vector version re-sorted every duplicate.
-void ConstraintSolver::computeLeastSolutionIF() {
-  LSBits.assign(numVars(), SparseBitVector());
-  std::vector<VarId> Live;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  std::sort(Live.begin(), Live.end(), [&](VarId A, VarId B) {
-    return Vars[A].Order < Vars[B].Order;
-  });
+// bitmap words where the vector version re-sorted every duplicate. After
+// the first settle only the representatives whose inputs changed are
+// recomputed: a clean representative has the same entries as at the last
+// settle, so its solution can differ only if an entry's class or that
+// class's solution did.
+void ConstraintSolver::settleLeastSolutionsIF() {
+  const uint32_t N = numVars();
+  const bool All = LSAllDirty;
+  LSBits.resize(N);
+  if (LSOrder.size() != N) {
+    LSOrder.resize(N);
+    for (VarId Var = 0; Var != N; ++Var)
+      LSOrder[Var] = Var;
+    std::sort(LSOrder.begin(), LSOrder.end(), [&](VarId A, VarId B) {
+      return Vars[A].Order < Vars[B].Order;
+    });
+  }
+  if (!All)
+    LSChanged.assign(N, 0);
+  auto InputChanged = [&](VarId Var) {
+    for (uint32_t Pred : Vars[Var].Preds) {
+      if (isTermRef(Pred))
+        continue;
+      VarId Raw = payloadOf(Pred);
+      VarId PredRep = Forwarding.find(Raw);
+      if (LSChanged[PredRep] ||
+          (LSRepsSaved &&
+           (Raw >= LSSettledRep.size() || LSSettledRep[Raw] != PredRep)))
+        return true;
+    }
+    return false;
+  };
 
-  for (VarId Var : Live) {
+  SparseBitVector &Fresh = LSScratch;
+  for (VarId Var : LSOrder) {
     SparseBitVector &Out = LSBits[Var];
+    if (!Forwarding.isRepresentative(Var)) {
+      // Collapsed away since the last settle: its class's solution lives
+      // at the witness now.
+      if (!Out.empty()) {
+        Out = SparseBitVector();
+        bumpEpoch(Var);
+      }
+      continue;
+    }
+    if (!All && !(Var < LSDirty.size() && LSDirty[Var]) &&
+        !InputChanged(Var))
+      continue;
+    Fresh.clear();
     ++CurrentEpoch;
     for (uint32_t Pred : Vars[Var].Preds) {
       if (isTermRef(Pred)) {
-        Out.set(payloadOf(Pred));
+        Fresh.set(payloadOf(Pred));
         continue;
       }
       VarId PredRep = Forwarding.find(payloadOf(Pred));
@@ -1410,9 +1504,18 @@ void ConstraintSolver::computeLeastSolutionIF() {
       if (Vars[PredRep].VisitEpoch == CurrentEpoch)
         continue; // Duplicate entry for the same representative.
       Vars[PredRep].VisitEpoch = CurrentEpoch;
-      Out.unionWith(LSBits[PredRep], &Stats.LSUnionWords);
+      Fresh.unionWith(LSBits[PredRep], &Stats.LSUnionWords);
     }
+    if (Fresh == Out)
+      continue;
+    std::swap(Fresh, Out);
+    bumpEpoch(Var);
+    if (!All)
+      LSChanged[Var] = 1;
   }
+  LSAllDirty = false;
+  LSDirty.clear();
+  LSRepsSaved = false;
 }
 
 // The parallel variant evaluates the same recurrence as a wavefront. The
@@ -1426,8 +1529,10 @@ void ConstraintSolver::computeLeastSolutionIF() {
 // predecessor representative) unions is schedule-independent, union is
 // commutative, and unionWith's word count depends only on the source
 // bitmap — so LSBits and LSUnionWords are bit-identical to the sequential
-// pass for any thread count.
+// all-dirty settle for any thread count, and so are the epochs, bumped by
+// the same comparison against the previous settle's bits.
 void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
+  std::vector<SparseBitVector> Prev = std::move(LSBits);
   LSBits.assign(numVars(), SparseBitVector());
   std::vector<VarId> Live;
   for (VarId Var = 0; Var != numVars(); ++Var)
@@ -1500,6 +1605,14 @@ void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
 
   for (const CacheAligned<LaneScratch> &S : Scratch)
     Stats += S.Value.Delta;
+
+  const SparseBitVector Empty;
+  for (VarId Var = 0; Var != numVars(); ++Var)
+    if (!(LSBits[Var] == (Var < Prev.size() ? Prev[Var] : Empty)))
+      bumpEpoch(Var);
+  LSAllDirty = false;
+  LSDirty.clear();
+  LSRepsSaved = false;
 }
 
 void ConstraintSolver::materializeAllViews() {
@@ -1723,6 +1836,10 @@ uint64_t ConstraintSolver::compact() {
           ++Removed;
           continue; // Duplicate after resolution.
         }
+        // A rewritten predecessor entry hides the class change the next
+        // settle would otherwise see.
+        if (Resolved != Entry)
+          markLSDirty(Var);
         Fresh.push_back(Resolved);
       }
       List = std::move(Fresh);

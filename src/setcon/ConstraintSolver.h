@@ -145,9 +145,10 @@ public:
 
   /// Mutation epoch of \p Var's least solution: bumped whenever the
   /// solution bitmap of the representative may have changed (grown by an
-  /// add, shrunk or regrown by a retraction). State derived from a
-  /// solution and keyed on (representative, epoch) is current iff both
-  /// still match — unlike a popcount fingerprint, the epoch cannot
+  /// add, shrunk or regrown by a retraction); inductive form bumps at the
+  /// settle that recomputes a solution to different bits. State derived
+  /// from a solution and keyed on (representative, epoch) is current iff
+  /// both still match — unlike a popcount fingerprint, the epoch cannot
   /// collide when a retraction shrinks and regrows a solution to the same
   /// size with different members. Returns 0 for ids never bumped.
   uint64_t mutationEpoch(VarId Var) const {
@@ -169,9 +170,13 @@ public:
   // Solutions
   //===--------------------------------------------------------------------===
 
-  /// Computes least solutions for all variables. Idempotent; implied by
-  /// leastSolution(). Adding constraints afterwards invalidates the cached
-  /// solutions, which are recomputed on the next query.
+  /// Settles least solutions for all variables. Idempotent; implied by
+  /// leastSolution(). Adding constraints afterwards unsettles them; the
+  /// next query settles again. Inductive form recomputes only the
+  /// representatives whose inputs changed since the previous settle (the
+  /// first settle, and any settle of a freshly loaded solver, recomputes
+  /// all of them) and bumps the mutation epoch of exactly those whose
+  /// bits came out different.
   void finalize();
 
   /// The least solution of \p Var: the sorted set of constructed source
@@ -188,10 +193,10 @@ public:
   /// returns the solver to the settle state it was in: a solver that was
   /// not finalized is unsettled again and the LSUnionWords count the
   /// settle added is taken back, so the read leaves no trace in what a
-  /// snapshot records. The solutions \p Read saw become the next
-  /// finalize()'s diff base, and the mutation epochs the settle bumped
-  /// stay bumped. Read-view capture (serve/ReadView.h) reads the serving
-  /// writer's solver through this.
+  /// snapshot records. The settle's work is kept: the solutions \p Read
+  /// saw are what the next finalize() recomputes from, and the mutation
+  /// epochs the settle bumped stay bumped. Read-view capture
+  /// (serve/ReadView.h) reads the serving writer's solver through this.
   template <typename Fn> void readSettled(Fn &&Read) {
     const bool WasFinalized = Finalized;
     const uint64_t UnionWords = Stats.LSUnionWords;
@@ -551,10 +556,15 @@ private:
   /// forward flow along variable-variable edges, (c) variables occurring
   /// in terms a cone variable holds, and (d) variables holding terms that
   /// mention a cone variable (their pairings re-derive the cone's edges).
-  /// On return \p ConeVar flags every affected raw VarId and
+  /// One pass builds the reverse maps the rules follow (variable
+  /// successors stored as predecessor entries, the holders of each term,
+  /// the held terms mentioning each representative); one worklist
+  /// fixpoint then applies (b)-(d). On return \p ConeVar flags every
+  /// affected raw VarId, \p ConeList lists them in ascending order, and
   /// \p MentionsCone flags every ExprId whose tree mentions one.
   void computeRetractionCone(ExprId RootL, ExprId RootR,
                              std::vector<uint8_t> &ConeVar,
+                             std::vector<VarId> &ConeList,
                              std::vector<uint8_t> &MentionsCone);
 
   /// True if the surviving direct variable-variable base constraints
@@ -574,12 +584,40 @@ private:
   // Least solution
   //===--------------------------------------------------------------------===
 
-  void computeLeastSolutionIF();
-  /// Wavefront evaluation of the same recurrence: Kahn levels over the
-  /// collapsed (acyclic) representative graph, then per-level parallel
-  /// word-level unions — each level's variables only read solutions
-  /// completed by earlier levels and only write their own bitmap.
-  /// Produces bit-identical LSBits and counters to the sequential pass.
+  /// Marks \p Var's inductive-form least solution for recomputation at the
+  /// next settle: it gained a predecessor entry, witnessed a collapse, was
+  /// reset or scrubbed by a retraction, or had a predecessor entry
+  /// rewritten by compact(). Free until the first settle, which
+  /// recomputes everything anyway.
+  void markLSDirty(VarId Var) {
+    if (LSAllDirty)
+      return;
+    if (LSDirty.size() <= Var)
+      LSDirty.resize(numVars(), 0);
+    LSDirty[Var] = 1;
+  }
+  /// Called before any forwarding change (collapse, offline merge,
+  /// retraction split): records every variable's representative as of
+  /// the last settle, once per settle, so the next settle can tell which
+  /// stale predecessor entries now resolve to a different class.
+  void saveSettledReps();
+
+  /// The inductive-form settle: walks every variable in order index
+  /// (predecessors first) and recomputes
+  ///   LS(Y) = {c | c in pred(Y)} ∪ ⋃_{X in pred(Y)} LS(X)
+  /// for the representatives that are dirty, whose predecessor changed
+  /// in this settle, or whose predecessor entry now resolves to another
+  /// class (a variable absorbed since the last settle counts as changed);
+  /// clears the solutions of variables collapsed away. Bumps the mutation
+  /// epoch of exactly the variables whose bits differ from the previous
+  /// settle.
+  void settleLeastSolutionsIF();
+  /// Wavefront evaluation of the same recurrence for an all-dirty settle
+  /// with more than one thread: Kahn levels over the collapsed (acyclic)
+  /// representative graph, then per-level parallel word-level unions —
+  /// each level's variables only read solutions completed by earlier
+  /// levels and only write their own bitmap. Produces bit-identical
+  /// LSBits, epochs and counters to the sequential all-dirty settle.
   void computeLeastSolutionIFParallel(ThreadPool &Pool);
   /// Builds every live representative's sorted solution view concurrently
   /// (the per-variable work standard form leaves for query time; the
@@ -605,16 +643,13 @@ private:
   /// Per raw VarId least-solution mutation epochs (see mutationEpoch),
   /// lazily grown by bumpEpoch. Standard form bumps eagerly at every
   /// source-bitmap growth (PredTerms is the solution); inductive form
-  /// bumps in finalize() by comparing fresh LSBits against PrevLSBits,
-  /// because an eager bump at an upstream variable cannot see which
-  /// downstream solutions its sources reach. Both retraction paths bump
-  /// every cone member explicitly (a shrink produces no growth events).
-  /// Never serialized: a snapshot reload conservatively restarts at 0.
+  /// bumps in the settle, when a recomputed LSBits entry differs from the
+  /// one it replaces, because an eager bump at an upstream variable
+  /// cannot see which downstream solutions its sources reach. Both
+  /// retraction paths bump every cone member explicitly (a shrink
+  /// produces no growth events). Never serialized: a snapshot reload
+  /// conservatively restarts at 0.
   std::vector<uint64_t> MutEpochs;
-  /// Inductive form: the LSBits of the last finalized state, moved aside
-  /// by invalidateSolutions so the next finalize() can diff solutions and
-  /// bump the epochs of exactly the variables that changed.
-  std::vector<SparseBitVector> PrevLSBits;
 
   std::vector<WorkItem> Worklist;
   bool Draining = false;
@@ -681,9 +716,32 @@ private:
   std::vector<std::string> Inconsistencies;
 
   bool Finalized = false;
-  /// Inductive-form least solutions per VarId (unused entries empty).
-  /// Standard form reads PredTerms directly instead.
+  /// Inductive-form least solutions per VarId as of the last settle
+  /// (entries of non-representatives empty). Kept while unsettled: the
+  /// next settle recomputes only what changed. Standard form reads
+  /// PredTerms directly instead.
   std::vector<SparseBitVector> LSBits;
+  /// True until the first inductive-form settle (and for every solver
+  /// built from bytes): every solution is recomputed and no dirty marks
+  /// are kept. Afterwards LSDirty flags, per VarId, the variables
+  /// markLSDirty touched since the last settle (allocated at the first
+  /// mark, so a solver settled once never pays for it).
+  bool LSAllDirty = true;
+  std::vector<uint8_t> LSDirty;
+  /// Every VarId sorted by order index for incremental settles (dead ones
+  /// included, so only variable creation changes it; a size mismatch
+  /// triggers the rebuild). New variables need no dirty mark: they have
+  /// no predecessor entries until insertPred marks them.
+  std::vector<VarId> LSOrder;
+  /// Per-settle flags: the variable's LSBits changed in this settle.
+  std::vector<uint8_t> LSChanged;
+  /// Representative of every variable as of the last settle, captured by
+  /// saveSettledReps at the first forwarding change after it
+  /// (LSRepsSaved); empty otherwise.
+  std::vector<VarId> LSSettledRep;
+  bool LSRepsSaved = false;
+  /// Settle scratch: the solution being recomputed.
+  SparseBitVector LSScratch;
   /// Lazily materialized sorted views of the solution bitmaps.
   std::vector<std::vector<ExprId>> LSView;
   std::vector<uint8_t> LSViewBuilt;

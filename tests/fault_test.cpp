@@ -642,6 +642,40 @@ TEST(BudgetTest, InjectedAbortViaFailpointRollsBack) {
   EXPECT_EQ(pts(Engine, "C15"), "ok { s }");
 }
 
+TEST(BudgetTest, LazyBaseRollsBackToThePreBatchAnswers) {
+  // Nothing can abort at construction, so the engine captures no base
+  // until the first batch that could: here the one after solver.budget
+  // is armed. That base is the pre-batch state, lines journaled before
+  // it included.
+  FailPointGuard Guard;
+  QueryEngine Engine(makeBundle(
+      chainText(16), makeConfig(GraphForm::Inductive, CycleElim::Online)));
+  ASSERT_TRUE(Engine.valid()) << Engine.initError();
+  ASSERT_TRUE(Engine.rollbackArmed());
+  ASSERT_TRUE(Engine.addConstraint("cons t").ok());
+  ASSERT_TRUE(Engine.addConstraint("t <= C8").ok());
+  const std::string PreC0 = pts(Engine, "C0"), PreC15 = pts(Engine, "C15");
+  ASSERT_EQ(PreC15, "ok { t }");
+  std::vector<uint8_t> PreBytes = serialized(Engine.solver());
+
+  ASSERT_TRUE(FailPoint::armSpec("solver.budget=error").ok());
+  EXPECT_EQ(Engine.addConstraint("s <= C0").code(),
+            ErrorCode::BudgetExceeded);
+  EXPECT_EQ(pts(Engine, "C0"), PreC0);
+  EXPECT_EQ(pts(Engine, "C15"), PreC15);
+  EXPECT_EQ(serialized(Engine.solver()), PreBytes);
+  EXPECT_EQ(Engine.journal(),
+            (std::vector<std::string>{"cons t", "t <= C8"}));
+
+  // A retraction aborted the same way rolls back to the same answers.
+  ASSERT_TRUE(FailPoint::armSpec("solver.budget=error").ok());
+  EXPECT_EQ(Engine.retractConstraint("t <= C8").code(),
+            ErrorCode::BudgetExceeded);
+  EXPECT_EQ(pts(Engine, "C15"), PreC15);
+  EXPECT_EQ(serialized(Engine.solver()), PreBytes);
+  EXPECT_EQ(Engine.counters().Rollbacks, 2u);
+}
+
 TEST(BudgetTest, CheckpointBaseMovesTheRollbackTarget) {
   QueryEngine Engine(makeBundle(
       chainText(32), makeConfig(GraphForm::Inductive, CycleElim::Online)));

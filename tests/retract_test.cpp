@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,167 @@ TEST(RetractTest, OfflineMergedClassFallsBackToConeRecompute) {
 }
 
 //===----------------------------------------------------------------------===//
+// The retraction cone against a brute-force fixpoint
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The graph as dumpGraph() prints it, per live representative: variable
+/// neighbours (resolved) and, per held term, the raw variables it
+/// mentions.
+struct DumpedNode {
+  std::vector<VarId> PredVars, SuccVars;
+  std::vector<std::vector<VarId>> HeldTerms;
+};
+
+std::map<VarId, DumpedNode> parseDump(ConstraintSolver &Solver) {
+  std::map<std::string, VarId> ByName;
+  for (VarId Var = 0; Var != Solver.numVars(); ++Var)
+    ByName[Solver.varName(Var)] = Var;
+  // Entries are separated by spaces outside parentheses; a term mentions
+  // every identifier in it that names a variable.
+  auto Entries = [](const std::string &List) {
+    std::vector<std::string> Out(1);
+    int Depth = 0;
+    for (char C : List) {
+      Depth += C == '(' ? 1 : C == ')' ? -1 : 0;
+      if (C == ' ' && Depth == 0)
+        Out.emplace_back();
+      else
+        Out.back() += C;
+    }
+    return Out;
+  };
+  auto Mentioned = [&](const std::string &Term) {
+    std::vector<VarId> Vars;
+    std::string Ident;
+    for (char C : Term + " ") {
+      if (std::isalnum(static_cast<unsigned char>(C)) || C == '_') {
+        Ident += C;
+        continue;
+      }
+      if (ByName.count(Ident))
+        Vars.push_back(ByName[Ident]);
+      Ident.clear();
+    }
+    return Vars;
+  };
+
+  std::map<VarId, DumpedNode> Graph;
+  std::string Dump = Solver.dumpGraph();
+  DumpedNode *Node = nullptr;
+  size_t Pos = 0;
+  while (Pos < Dump.size()) {
+    size_t Eol = Dump.find('\n', Pos);
+    std::string Line = Dump.substr(Pos, Eol - Pos);
+    Pos = Eol + 1;
+    if (Line.rfind("var ", 0) == 0) {
+      Node = &Graph[ByName.at(Line.substr(4, Line.find(" (order") - 4))];
+      continue;
+    }
+    const bool Pred = Line.rfind("  pred: ", 0) == 0;
+    for (const std::string &Entry : Entries(Line.substr(8))) {
+      auto It = ByName.find(Entry);
+      if (It != ByName.end())
+        (Pred ? Node->PredVars : Node->SuccVars).push_back(It->second);
+      else
+        Node->HeldTerms.push_back(Mentioned(Entry));
+    }
+  }
+  return Graph;
+}
+
+/// The cone rules applied naively — every rule over every node, sweep
+/// after sweep, until nothing changes. Returns the raw cone variables and
+/// the number of sweeps it took.
+std::vector<VarId> bruteForceCone(ConstraintSolver &Solver,
+                                  const std::vector<std::string> &SeedNames,
+                                  unsigned &Sweeps) {
+  std::map<VarId, DumpedNode> Graph = parseDump(Solver);
+  std::vector<uint8_t> InCone(Solver.numVars(), 0);
+  bool Changed = false;
+  auto Add = [&](VarId Var) {
+    VarId Rep = Solver.rep(Var);
+    if (!InCone[Rep])
+      InCone[Rep] = Changed = true;
+  };
+  for (VarId Var = 0; Var != Solver.numVars(); ++Var)
+    for (const std::string &Name : SeedNames)
+      if (Solver.varName(Var) == Name)
+        Add(Var);
+  Sweeps = 0;
+  do {
+    Changed = false;
+    ++Sweeps;
+    for (const auto &[Rep, Node] : Graph) {
+      for (VarId Pred : Node.PredVars) // (b), stored at the consumer.
+        if (InCone[Pred])
+          Add(Rep);
+      for (VarId Succ : Node.SuccVars) // (b), stored at the producer.
+        if (InCone[Rep])
+          Add(Succ);
+      for (const std::vector<VarId> &Term : Node.HeldTerms)
+        for (VarId Var : Term) {
+          if (InCone[Rep]) // (c)
+            Add(Var);
+          if (InCone[Solver.rep(Var)]) // (d)
+            Add(Rep);
+        }
+    }
+  } while (Changed);
+  std::vector<VarId> Cone;
+  for (VarId Var = 0; Var != Solver.numVars(); ++Var)
+    if (InCone[Solver.rep(Var)]) // (a) class wholeness.
+      Cone.push_back(Var);
+  return Cone;
+}
+
+} // namespace
+
+TEST(RetractTest, AlternatingHopConeMatchesBruteForce) {
+  // A chain the cone can only cross by alternating rules (d) and (c):
+  // b0 holds box(a0), which mentions the seed a0, so b0 joins (d); b0
+  // also holds box(a1), so a1 joins (c); and so on down to a4, with one
+  // forward hop (a1 <= c1) and one cycle ({a2, e2}, collapsed when the
+  // partial search finds it) on the way. p (upstream of the seed) and
+  // q, r stay out.
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
+    FileHarness H(makeConfig(Form, CycleElim::Online));
+    // The holders are declared against the chain's direction, so a
+    // sweep in variable order advances one (d)/(c) pair at a time.
+    H.add("var a0 a1 a2 a3 a4 b3 b2 b1 b0 c1 e2 p q r");
+    H.add("cons s");
+    H.add("cons box +");
+    for (const char *Line :
+         {"s <= a0", "p <= a0", "box(a0) <= b0", "box(a1) <= b0",
+          "a1 <= c1", "box(a1) <= b1", "box(a2) <= b1", "a2 <= e2",
+          "e2 <= a2", "box(e2) <= b2", "box(a3) <= b2", "box(a3) <= b3",
+          "box(a4) <= b3", "box(q) <= r"})
+      H.add(Line);
+    H.Solver.ensureClosed();
+
+    unsigned Sweeps = 0;
+    std::vector<VarId> Expected = bruteForceCone(H.Solver, {"a0"}, Sweeps);
+    EXPECT_GT(Sweeps, 3u) << "the shape must need several hops";
+    EXPECT_EQ(Expected, (std::vector<VarId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+
+    // Retraction bumps the epoch of exactly the cone variables (nothing
+    // outside the cone gains or loses a source).
+    std::vector<uint64_t> Before(H.Solver.numVars());
+    for (VarId Var = 0; Var != H.Solver.numVars(); ++Var)
+      Before[Var] = H.Solver.mutationEpoch(Var);
+    ASSERT_TRUE(H.retract("s <= a0"));
+    std::vector<VarId> Cone;
+    for (VarId Var = 0; Var != H.Solver.numVars(); ++Var)
+      if (H.Solver.mutationEpoch(Var) != Before[Var])
+        Cone.push_back(Var);
+    EXPECT_EQ(Cone, Expected);
+    EXPECT_EQ(H.Solver.stats().ConeVarsRecomputed, Expected.size());
+    EXPECT_EQ(H.Solver.stats().CollapsesSplit, 0u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Mutation epochs (the cache-invariant the serve layer keys on)
 //===----------------------------------------------------------------------===//
 
@@ -352,6 +515,29 @@ RandomSystem makeRandomSystem(uint64_t Seed, uint32_t NumVars,
 
 } // namespace
 
+/// Plays the sweep script for \p Seed on \p H: every line added and
+/// settled, then up to six seeded retractions, each followed by
+/// \p AfterRetract(Survivors, Line).
+template <typename Fn>
+void playRetractSweep(uint64_t Seed, const RandomSystem &Sys, FileHarness &H,
+                      Fn &&AfterRetract) {
+  for (const std::string &Line : Sys.Decls)
+    H.add(Line);
+  for (const std::string &Line : Sys.Lines)
+    H.add(Line);
+  (void)H.solutions(); // Settle (and run any offline pass) before retracts.
+
+  std::vector<std::string> Survivors = Sys.Lines;
+  PRNG Rng(Seed * 31 + 7);
+  for (int Round = 0; Round != 6 && !Survivors.empty(); ++Round) {
+    size_t Victim = Rng.nextBelow(static_cast<uint32_t>(Survivors.size()));
+    std::string Line = Survivors[Victim];
+    Survivors.erase(Survivors.begin() + Victim);
+    ASSERT_TRUE(H.retract(Line)) << "line '" << Line << "'";
+    AfterRetract(Survivors, Line);
+  }
+}
+
 class RetractSweepTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
@@ -360,20 +546,8 @@ TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
 
   for (const SolverOptions &Options : sweepConfigs(Seed)) {
     FileHarness H(Options);
-    for (const std::string &Line : Sys.Decls)
-      H.add(Line);
-    for (const std::string &Line : Sys.Lines)
-      H.add(Line);
-    (void)H.solutions(); // Settle (and run any offline pass) before retracts.
-
-    std::vector<std::string> Survivors = Sys.Lines;
-    PRNG Rng(Seed * 31 + 7);
-    for (int Round = 0; Round != 6 && !Survivors.empty(); ++Round) {
-      size_t Victim = Rng.nextBelow(static_cast<uint32_t>(Survivors.size()));
-      std::string Line = Survivors[Victim];
-      Survivors.erase(Survivors.begin() + Victim);
-      ASSERT_TRUE(H.retract(Line))
-          << "config " << Options.configName() << " line '" << Line << "'";
+    auto Check = [&](const std::vector<std::string> &Survivors,
+                     const std::string &Line) {
       ASSERT_TRUE(H.Solver.verifyGraphInvariants());
       EXPECT_EQ(H.solutions(),
                 freshSolutions(Options, Sys.Decls, Survivors))
@@ -383,9 +557,42 @@ TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
           << (Options.Preprocess == PreprocessMode::Offline ? "offline"
                                                             : "none")
           << " after retracting '" << Line << "'";
-    }
+    };
+    playRetractSweep(Seed, Sys, H, Check);
     EXPECT_EQ(H.Solver.stats().Retractions,
               std::min<uint64_t>(6, Sys.Lines.size()));
+  }
+}
+
+TEST(RetractTest, SweepConeCountersArePinned) {
+  // ConeVarsRecomputed/CollapsesSplit of every sweep configuration, per
+  // seed, as the cone computation has always produced them: a cone
+  // rewrite must reproduce them exactly.
+  const char *const Golden[] = {
+      "114/0 114/0 114/0 114/0 114/0 114/0 114/0 114/0 "
+      "114/0 114/0 114/0 114/0 114/0 114/0 114/0 114/0",
+      "120/0 120/0 120/0 120/0 120/6 120/6 120/6 120/6 "
+      "120/0 120/0 120/0 120/0 120/6 120/6 120/6 120/6",
+      "108/0 108/1 108/0 108/1 108/6 108/6 108/6 108/6 "
+      "114/0 115/2 114/0 115/2 114/6 115/7 114/6 115/7",
+      "120/0 120/2 120/0 120/2 120/6 120/7 120/6 120/7 "
+      "120/0 120/2 120/0 120/2 120/6 120/7 120/6 120/7",
+      "120/0 120/0 120/0 120/0 120/6 120/6 120/6 120/6 "
+      "120/0 120/0 120/0 120/0 120/6 120/6 120/6 120/6",
+  };
+  for (uint64_t Seed = 1; Seed != 6; ++Seed) {
+    RandomSystem Sys = makeRandomSystem(Seed, /*NumVars=*/20, /*NumLines=*/50);
+    std::string Counters;
+    for (const SolverOptions &Options : sweepConfigs(Seed)) {
+      FileHarness H(Options);
+      playRetractSweep(Seed, Sys, H,
+                       [](const std::vector<std::string> &,
+                          const std::string &) {});
+      Counters += (Counters.empty() ? "" : " ") +
+                  std::to_string(H.Solver.stats().ConeVarsRecomputed) + "/" +
+                  std::to_string(H.Solver.stats().CollapsesSplit);
+    }
+    EXPECT_EQ(Counters, Golden[Seed - 1]) << "seed " << Seed;
   }
 }
 
