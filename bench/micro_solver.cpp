@@ -20,7 +20,7 @@
 /// flat-format file is migrated to the first run), so successive runs form
 /// a trajectory. Trajectory mode honors POCE_BENCH_SCALE,
 /// POCE_BENCH_REPEATS (best-of-N, default 3), and POCE_BENCH_THREADS
-/// (lanes for the thread-scaling entries; default 4, 0 = hardware).
+/// (lanes for the batch_suite entry; default 4, 0 = hardware).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -441,6 +441,14 @@ void emitShapeOrdered(const RandomConstraintShape &Shape,
   }
 }
 
+/// Settles \p Solver and builds every live representative's sorted
+/// solution view, so later queries pay no materialization cost.
+void materializeAllSolutions(ConstraintSolver &Solver) {
+  for (VarId Var = 0; Var != Solver.numVars(); ++Var)
+    if (Solver.isLive(Var))
+      (void)Solver.leastSolution(Var);
+}
+
 /// One A/B measurement: the optimized paths (difference propagation plus
 /// bitvector least solutions) against the seed algorithms (element-wise
 /// propagation plus the retained reference least-solution pass).
@@ -601,57 +609,15 @@ PreprocessResult measurePreprocess(const TrajectoryConfig &Config,
 }
 
 /// One thread-scaling measurement: the same computation at 1 lane and at
-/// \p Threads lanes. Checksum must match between the two variants (the
-/// parallel paths are bit-identical by construction).
+/// \p Threads lanes. Checksum must match between the two variants (batch
+/// entries share nothing, so the results are bit-identical by
+/// construction).
 struct ScalingResult {
   double WallSeconds = 0;     ///< At the requested lane count, best of N.
   double BaselineSeconds = 0; ///< Single lane, best of N.
   uint64_t Checksum = 0;
   uint64_t BaselineChecksum = 0;
 };
-
-/// Times the IF least-solution pass (finalize + a full sweep of solution
-/// queries) at 1 vs \p Threads lanes. Constraint emission and closure are
-/// untimed — they are identical in both variants and the parallel layer
-/// only touches the post-closure pass.
-ScalingResult measureLSParallel(double Scale, unsigned Repeats,
-                                unsigned Threads) {
-  PRNG Rng(211);
-  uint32_t NumVars =
-      std::max<uint32_t>(8, static_cast<uint32_t>(6000 * Scale));
-  uint32_t NumCons =
-      std::max<uint32_t>(4, static_cast<uint32_t>(4000 * Scale));
-  RandomConstraintShape Shape =
-      randomConstraintShape(NumVars, NumCons, 1.5 / NumVars, Rng);
-
-  auto timeOnce = [&](unsigned Lanes, uint64_t *Checksum) {
-    double Best = -1;
-    for (unsigned I = 0; I != Repeats; ++I) {
-      ConstructorTable Constructors;
-      TermTable Terms(Constructors);
-      SolverOptions Options =
-          makeConfig(GraphForm::Inductive, CycleElim::Online);
-      Options.Threads = Lanes;
-      ConstraintSolver Solver(Terms, Options);
-      emitShapeOrdered(Shape, Solver, /*FactsFirst=*/false);
-      Timer T;
-      Solver.finalize();
-      uint64_t Bits = 0;
-      for (VarId Var = 0; Var != Solver.numVars(); ++Var)
-        Bits += Solver.leastSolution(Var).size();
-      double Elapsed = T.seconds();
-      if (Best < 0 || Elapsed < Best)
-        Best = Elapsed;
-      *Checksum = Bits;
-    }
-    return Best;
-  };
-
-  ScalingResult Out;
-  Out.BaselineSeconds = timeOnce(1, &Out.BaselineChecksum);
-  Out.WallSeconds = timeOnce(Threads, &Out.Checksum);
-  return Out;
-}
 
 /// Times a whole-suite batch solve (workload::solveSuite) at 1 vs
 /// \p Threads lanes — the outer-level parallelism a build-system client
@@ -703,7 +669,7 @@ struct ServeResult {
   unsigned NumQueries = 0;
 };
 
-ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
+ServeResult measureServe(double Scale, unsigned Repeats) {
   PRNG Rng(303);
   uint32_t NumVars =
       std::max<uint32_t>(8, static_cast<uint32_t>(6000 * Scale));
@@ -712,7 +678,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   RandomConstraintShape Shape =
       randomConstraintShape(NumVars, NumCons, 1.5 / NumVars, Rng);
   SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
-  Options.Threads = Threads;
 
   ServeResult Out;
   Out.NumQueries = 1000;
@@ -779,14 +744,14 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
       std::fprintf(stderr, "error: snapshot_load: %s\n",
                    St.toString().c_str());
     else
-      Bundle.Solver->materializeAllViews();
+      materializeAllSolutions(*Bundle.Solver);
   });
   Out.FreshSeconds = bestOfN(Repeats, [&] {
     ConstructorTable C;
     TermTable T(C);
     ConstraintSolver S(T, Options);
     emitShapeOrdered(Shape, S, /*FactsFirst=*/false);
-    S.materializeAllViews();
+    materializeAllSolutions(S);
   });
 
   std::vector<uint64_t> Latencies;
@@ -799,7 +764,7 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
                    St.toString().c_str());
       return;
     }
-    Bundle.Solver->materializeAllViews();
+    materializeAllSolutions(*Bundle.Solver);
     serve::QueryEngine Engine(std::move(Bundle));
     Latencies.clear();
     Out.Checksum = runQueries(Engine, &Latencies);
@@ -810,7 +775,7 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
     Fresh.Terms = std::make_unique<TermTable>(*Fresh.Constructors);
     Fresh.Solver = std::make_unique<ConstraintSolver>(*Fresh.Terms, Options);
     emitShapeOrdered(Shape, *Fresh.Solver, /*FactsFirst=*/false);
-    Fresh.Solver->materializeAllViews();
+    materializeAllSolutions(*Fresh.Solver);
     serve::QueryEngine Engine(std::move(Fresh));
     Out.BaselineChecksum = runQueries(Engine, nullptr);
   });
@@ -945,7 +910,7 @@ FaultToleranceResult measureFaultTolerance(double Scale, unsigned Repeats) {
       for (const std::string &Line : Lines)
         if (!Sys.addLine(Line, *Bundle.Solver))
           return;
-      Bundle.Solver->materializeAllViews();
+      materializeAllSolutions(*Bundle.Solver);
       RecoveredBytes.clear();
       serve::GraphSnapshot::serialize(*Bundle.Solver, RecoveredBytes);
     });
@@ -962,7 +927,7 @@ FaultToleranceResult measureFaultTolerance(double Scale, unsigned Repeats) {
       for (const std::string &Line : Lines)
         if (!Sys.addLine(Line, S))
           return;
-      S.materializeAllViews();
+      materializeAllSolutions(S);
       FreshBytes.clear();
       serve::GraphSnapshot::serialize(S, FreshBytes);
     });
@@ -1133,9 +1098,8 @@ int emitTrajectory(const std::string &Path) {
   unsigned Repeats = 3;
   if (const char *Env = std::getenv("POCE_BENCH_REPEATS"))
     Repeats = std::max(1, std::atoi(Env));
-  // Lanes for the thread-scaling entries. The acceptance point of the
-  // parallel layer is 4 lanes; override with POCE_BENCH_THREADS (0 = one
-  // per hardware thread).
+  // Lanes for the batch_suite entry, 4 by default; override with
+  // POCE_BENCH_THREADS (0 = one per hardware thread).
   unsigned Threads = 4;
   if (const char *Env = std::getenv("POCE_BENCH_THREADS"))
     Threads = ThreadPool::resolveThreads(
@@ -1353,13 +1317,12 @@ int emitTrajectory(const std::string &Path) {
   }
 
   // Thread-scaling entries: wall_s is the parallel variant, the baseline
-  // a single lane. Checksums are asserted identical (the parallel layer
-  // is bit-deterministic).
+  // a single lane. Checksums are asserted identical (batch entries are
+  // independent solves).
   struct {
     const char *Name;
     ScalingResult R;
   } ScalingEntries[] = {
-      {"if_ls_parallel", measureLSParallel(Scale, Repeats, Threads)},
       {"batch_suite", measureBatchSuite(Scale, Repeats, Threads)},
   };
   for (const auto &Entry : ScalingEntries) {
@@ -1393,7 +1356,7 @@ int emitTrajectory(const std::string &Path) {
   // mixed query batch beats re-solving from the constraints plus the same
   // batch — and returns the same answers.
   {
-    ServeResult R = measureServe(Scale, Repeats, Threads);
+    ServeResult R = measureServe(Scale, Repeats);
     double LoadSpeedup = R.FreshSeconds / std::max(R.LoadSeconds, 1e-9);
     double PathSpeedup =
         R.FreshPathSeconds / std::max(R.LoadPathSeconds, 1e-9);

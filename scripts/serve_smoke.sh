@@ -67,7 +67,7 @@ check "$WORK/s1.out" \
 # structured error taxonomy: unknown verb, unknown variable, oversized
 # request.
 LONG_LINE=$(printf 'x%.0s' $(seq 1 300))
-"$SCSERVED" --snapshot="$SNAP" --threads=8 --max-request=200 > "$WORK/s2.out" << EOF
+"$SCSERVED" --snapshot="$SNAP" --max-request=200 > "$WORK/s2.out" << EOF
 pts P
 pts Z
 alias Z P

@@ -80,8 +80,8 @@ int main(int Argc, char **Argv) {
   Cmd.addInt("synth-size", &SynthSize, "target AST nodes for --synth=custom");
   Cmd.addInt("seed", &Seed, "variable-order seed");
   Cmd.addInt("threads", &Threads,
-             "execution lanes: parallel least-solution pass, and with "
-             "--batch concurrent suite inputs (0 = hardware)");
+             "lanes for --batch: suite inputs solved concurrently "
+             "(0 = hardware)");
   Cmd.addFlag("batch", &Batch,
               "solve the whole generated suite (one row per benchmark)");
   Cmd.addDouble("batch-scale", &BatchScale,
@@ -106,7 +106,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   Options.Seed = static_cast<uint64_t>(Seed);
-  Options.Threads = static_cast<unsigned>(Threads);
   if (Closure == "wave")
     Options.Closure = ClosureMode::Wave;
   else if (Closure != "worklist") {

@@ -186,7 +186,6 @@ int main(int Argc, char **Argv) {
   std::string DumpWal;
   std::string Config = "if-online";
   int64_t Seed = 0x706f6365;
-  int64_t Threads = 1;
   int64_t DeadlineMs = 0;
   int64_t EdgeBudget = 0;
   int64_t MaxMemMb = 0;
@@ -210,9 +209,6 @@ int main(int Argc, char **Argv) {
                 "print the intact lines of this WAL and exit");
   Cmd.addString("config", &Config, "{sf,if}-{plain,online} for .scs input");
   Cmd.addInt("seed", &Seed, "variable-order seed for .scs input");
-  Cmd.addInt("threads", &Threads,
-             "lanes for least-solution materialization on load "
-             "(0 = hardware); results identical for any value");
   Cmd.addInt("deadline-ms", &DeadlineMs,
              "per-add closure deadline in ms (0 = unlimited)");
   Cmd.addInt("edge-budget", &EdgeBudget,
@@ -352,7 +348,6 @@ int main(int Argc, char **Argv) {
     System.emit(*Bundle.Solver);
   }
 
-  Bundle.Solver->setThreads(static_cast<unsigned>(Threads));
   // Settled before the rollback base is captured, so the base (and any
   // snapshot saved before the first add) carries the least solutions.
   Bundle.Solver->finalize();

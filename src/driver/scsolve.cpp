@@ -57,7 +57,6 @@ int main(int Argc, char **Argv) {
   std::string Preprocess = "none";
   bool ShowStats = false, Dump = false, Echo = false;
   int64_t Seed = 0x706f6365;
-  int64_t Threads = 1;
   Cmd.addString("config", &Config,
                 "{sf,if}-{plain,online,oracle} or if-periodic");
   Cmd.addString("closure", &Closure,
@@ -67,9 +66,6 @@ int main(int Argc, char **Argv) {
                 "pre-solve pass: none or offline (HVN + Nuutila SCC "
                 "variable substitution); solutions are identical");
   Cmd.addInt("seed", &Seed, "variable-order seed");
-  Cmd.addInt("threads", &Threads,
-             "execution lanes for the least-solution pass (0 = hardware); "
-             "solutions are identical for any value");
   Cmd.addFlag("stats", &ShowStats, "print solver statistics");
   Cmd.addFlag("dump", &Dump, "dump the solved constraint graph");
   Cmd.addFlag("echo", &Echo, "re-print the parsed system and exit");
@@ -109,7 +105,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   Options.Seed = static_cast<uint64_t>(Seed);
-  Options.Threads = static_cast<unsigned>(Threads);
   if (Closure == "wave")
     Options.Closure = ClosureMode::Wave;
   else if (Closure != "worklist") {

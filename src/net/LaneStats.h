@@ -8,12 +8,11 @@
 /// Per-lane accumulators for the read wave. During a wave every lane
 /// records into its own slot with plain (non-atomic) stores; the wave
 /// barrier of support/ThreadPool provides the happens-before edge under
-/// which the event-loop thread merges the slots afterwards — the same
-/// discipline the solver's parallel least-solution pass uses for its
-/// SolverStats deltas. The slots are CacheAligned so two lanes bumping
-/// their counters never write the same cache line (the Huron false-
-/// sharing repair applied at allocation time rather than detected at
-/// run time), and a static_assert pins the padded layout.
+/// which the event-loop thread merges the slots afterwards. The slots are
+/// CacheAligned so two lanes bumping their counters never write the same
+/// cache line (the Huron false-sharing repair applied at allocation time
+/// rather than detected at run time), and a static_assert pins the padded
+/// layout.
 ///
 //===----------------------------------------------------------------------===//
 

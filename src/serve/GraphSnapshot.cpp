@@ -198,7 +198,7 @@ Status GraphSnapshot::serialize(ConstraintSolver &Solver,
   W.u64(O.PeriodicInterval);
   W.u8(O.RecordVarVar ? 1 : 0);
   W.u8(O.DiffProp ? 1 : 0);
-  W.u32(O.Threads);
+  W.u32(1); // Retired lane-count slot; readers ignore it.
   W.u64(O.DeadlineMs);
   W.u64(O.MaxEdgeBudget);
   W.u64(O.MaxMemBytes);
@@ -359,11 +359,11 @@ Status GraphSnapshot::deserialize(const uint8_t *Data, size_t Size,
 
   SolverOptions O;
   uint8_t Form, Elim, SFChains, Order, Mismatch, RecordVarVar, DiffProp;
-  uint32_t Threads = 1;
+  uint32_t RetiredLanes = 0; // Written as 1; older writers stored a lane count.
   if (!R.u8(Form) || !R.u8(Elim) || !R.u8(SFChains) || !R.u8(Order) ||
       !R.u8(Mismatch) || !R.u64(O.Seed) || !R.u64(O.MaxWork) ||
       !R.u64(O.PeriodicInterval) || !R.u8(RecordVarVar) ||
-      !R.u8(DiffProp) || !R.u32(Threads) || !R.u64(O.DeadlineMs) ||
+      !R.u8(DiffProp) || !R.u32(RetiredLanes) || !R.u64(O.DeadlineMs) ||
       !R.u64(O.MaxEdgeBudget) || !R.u64(O.MaxMemBytes))
     return Bail("options");
   if (Form > 1 || Elim > 3 || SFChains > 2 || Order > 2 || Mismatch > 1)
@@ -377,7 +377,6 @@ Status GraphSnapshot::deserialize(const uint8_t *Data, size_t Size,
   O.Mismatch = static_cast<MismatchPolicy>(Mismatch);
   O.RecordVarVar = RecordVarVar != 0;
   O.DiffProp = DiffProp != 0;
-  O.Threads = Threads;
   if (O.Elim == CycleElim::Oracle)
     return fail(ErrorCode::Corruption,
                 "snapshot claims an oracle-eliminated solver, "

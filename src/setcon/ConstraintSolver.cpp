@@ -9,13 +9,11 @@
 #include "graph/SCC.h"
 #include "setcon/Oracle.h"
 #include "setcon/Preprocess.h"
-#include "support/CacheAligned.h"
 #include "support/Debug.h"
 #include "support/ErrorHandling.h"
 #include "support/FailPoint.h"
 #include "support/MemUsage.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -1377,23 +1375,10 @@ void ConstraintSolver::finalize() {
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
   LSView.assign(numVars(), {});
   LSViewBuilt.assign(numVars(), 0);
-  const bool Inductive = Options.Form == GraphForm::Inductive;
-  if (!Inductive)
+  if (Options.Form == GraphForm::Inductive)
+    settleLeastSolutionsIF();
+  else
     LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
-  unsigned Threads = ThreadPool::resolveThreads(Options.Threads);
-  if (Threads <= 1) {
-    if (Inductive)
-      settleLeastSolutionsIF();
-  } else {
-    // Only an all-dirty settle is worth the wavefront; later settles
-    // recompute a few representatives and take the sequential walk.
-    ThreadPool Pool(Threads);
-    if (Inductive && LSAllDirty)
-      computeLeastSolutionIFParallel(Pool);
-    else if (Inductive)
-      settleLeastSolutionsIF();
-    materializeAllSolutions(Pool);
-  }
   if (Timed) {
     leastSolutionHistogram().record(trace::nowMicros() - StartUs);
     trace::complete("solver.least_solution", StartUs);
@@ -1516,131 +1501,6 @@ void ConstraintSolver::settleLeastSolutionsIF() {
   LSAllDirty = false;
   LSDirty.clear();
   LSRepsSaved = false;
-}
-
-// The parallel variant evaluates the same recurrence as a wavefront. The
-// collapsed representative graph is acyclic with every predecessor at a
-// strictly lower order index, so one ascending sweep assigns each variable
-// a level = 1 + max(level of its predecessors): by construction a level's
-// variables depend only on strictly earlier levels, making each level an
-// embarrassingly parallel batch of word-level unions. Each task writes
-// only its own variable's bitmap and reads bitmaps completed before the
-// previous level's barrier. Determinism: the set of (variable, distinct
-// predecessor representative) unions is schedule-independent, union is
-// commutative, and unionWith's word count depends only on the source
-// bitmap — so LSBits and LSUnionWords are bit-identical to the sequential
-// all-dirty settle for any thread count, and so are the epochs, bumped by
-// the same comparison against the previous settle's bits.
-void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
-  std::vector<SparseBitVector> Prev = std::move(LSBits);
-  LSBits.assign(numVars(), SparseBitVector());
-  std::vector<VarId> Live;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  std::sort(Live.begin(), Live.end(), [&](VarId A, VarId B) {
-    return Vars[A].Order < Vars[B].Order;
-  });
-
-  // Kahn levels in one ascending pass (predecessors precede their users).
-  // This sequential sweep also path-compresses every forwarding chain the
-  // parallel phase will look up, so the findConst calls below are single
-  // hops on immutable data.
-  std::vector<uint32_t> Depth(numVars(), 0);
-  std::vector<std::vector<VarId>> Levels;
-  for (VarId Var : Live) {
-    uint32_t Level = 0;
-    for (uint32_t Pred : Vars[Var].Preds) {
-      if (isTermRef(Pred))
-        continue;
-      VarId PredRep = Forwarding.find(payloadOf(Pred));
-      if (PredRep != Var)
-        Level = std::max(Level, Depth[PredRep] + 1);
-    }
-    Depth[Var] = Level;
-    if (Level >= Levels.size())
-      Levels.resize(Level + 1);
-    Levels[Level].push_back(Var);
-  }
-
-  // Per-lane scratch: an epoch array replaces the shared VisitEpoch marks
-  // (which two lanes would race on) for deduplicating predecessor entries
-  // that resolve to the same representative, plus a SolverStats delta so
-  // counting never touches the shared Stats. The deltas are sums, so
-  // merging them after the waves is order-independent. Each lane's slot is
-  // padded to whole cache lines (CacheAligned): the Epoch counter and the
-  // Delta counters are bumped on every variable a lane processes, and
-  // unpadded adjacent slots would false-share those lines across lanes.
-  struct LaneScratch {
-    std::vector<uint32_t> SeenEpoch;
-    uint32_t Epoch = 0;
-    SolverStats Delta;
-  };
-  static_assert(cacheAlignedLayoutOk<LaneScratch>,
-                "per-lane scratch must occupy whole cache lines");
-  std::vector<CacheAligned<LaneScratch>> Scratch(Pool.numLanes());
-  for (CacheAligned<LaneScratch> &S : Scratch)
-    S.Value.SeenEpoch.assign(numVars(), 0);
-
-  Pool.parallelForLevels(Levels, [&](VarId Var, unsigned Lane) {
-    LaneScratch &S = Scratch[Lane].Value;
-    ++S.Epoch;
-    SparseBitVector &Out = LSBits[Var];
-    for (uint32_t Pred : Vars[Var].Preds) {
-      if (isTermRef(Pred)) {
-        Out.set(payloadOf(Pred));
-        continue;
-      }
-      VarId PredRep = Forwarding.findConst(payloadOf(Pred));
-      if (PredRep == Var)
-        continue; // Stale self reference after a collapse.
-      assert(Vars[PredRep].Order < Vars[Var].Order &&
-             "inductive form violated: predecessor with larger order");
-      if (S.SeenEpoch[PredRep] == S.Epoch)
-        continue; // Duplicate entry for the same representative.
-      S.SeenEpoch[PredRep] = S.Epoch;
-      Out.unionWith(LSBits[PredRep], &S.Delta.LSUnionWords);
-    }
-  });
-
-  for (const CacheAligned<LaneScratch> &S : Scratch)
-    Stats += S.Value.Delta;
-
-  const SparseBitVector Empty;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (!(LSBits[Var] == (Var < Prev.size() ? Prev[Var] : Empty)))
-      bumpEpoch(Var);
-  LSAllDirty = false;
-  LSDirty.clear();
-  LSRepsSaved = false;
-}
-
-void ConstraintSolver::materializeAllViews() {
-  finalize();
-  unsigned Threads = ThreadPool::resolveThreads(Options.Threads);
-  if (Threads <= 1) {
-    for (VarId Var = 0; Var != numVars(); ++Var)
-      if (Forwarding.isRepresentative(Var))
-        (void)materializeLS(Var);
-    return;
-  }
-  ThreadPool Pool(Threads);
-  materializeAllSolutions(Pool);
-}
-
-void ConstraintSolver::materializeAllSolutions(ThreadPool &Pool) {
-  std::vector<VarId> Live;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  Pool.parallelFor(Live.size(), [&](size_t I, unsigned) {
-    VarId Rep = Live[I];
-    const SparseBitVector &Bits = Options.Form == GraphForm::Standard
-                                      ? Vars[Rep].PredTerms
-                                      : LSBits[Rep];
-    LSView[Rep] = Bits.toVector<ExprId>();
-    LSViewBuilt[Rep] = 1;
-  });
 }
 
 std::vector<std::vector<ExprId>> ConstraintSolver::referenceLeastSolutions() {

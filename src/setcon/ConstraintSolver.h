@@ -42,11 +42,10 @@
 /// prunes fully redundant deliveries). See docs/INTERNALS.md, "Set
 /// representation and difference propagation".
 ///
-/// With SolverOptions::Threads > 1 the least-solution post-pass runs as a
-/// level-parallel wavefront over the collapsed representative graph and
-/// solution views are materialized concurrently; solutions and every
-/// counter stay bit-identical to the sequential pass (see
-/// docs/INTERNALS.md, "Parallel execution layer").
+/// The solver is single-threaded: closure is one worklist (or wave)
+/// schedule, and the inductive-form least solution is one ascending pass
+/// that, after the first settle, recomputes only the representatives
+/// whose inputs changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +69,6 @@
 namespace poce {
 
 class Oracle;
-class ThreadPool;
 
 namespace serve {
 class GraphSnapshot;
@@ -172,11 +170,14 @@ public:
 
   /// Settles least solutions for all variables. Idempotent; implied by
   /// leastSolution(). Adding constraints afterwards unsettles them; the
-  /// next query settles again. Inductive form recomputes only the
-  /// representatives whose inputs changed since the previous settle (the
-  /// first settle, and any settle of a freshly loaded solver, recomputes
-  /// all of them) and bumps the mutation epoch of exactly those whose
-  /// bits came out different.
+  /// next query settles again. Inductive form runs
+  /// settleLeastSolutionsIF(), which recomputes only the representatives
+  /// whose inputs changed since the previous settle (the first settle,
+  /// and any settle of a freshly loaded solver, recomputes all of them)
+  /// and bumps the mutation epoch of exactly those whose bits came out
+  /// different. Standard form has nothing to compute: the closed graph
+  /// holds every least solution. Either way the sorted views are built
+  /// lazily, one representative at a time, by leastSolution().
   void finalize();
 
   /// The least solution of \p Var: the sorted set of constructed source
@@ -301,17 +302,6 @@ public:
   /// successor entries. Intended for debugging and golden tests.
   std::string dumpGraph();
 
-  /// Finalizes (if needed) and builds every live representative's sorted
-  /// solution view, using Options.Threads lanes when > 1, so that later
-  /// leastSolution() calls do not pay materialization cost; results are
-  /// identical for any lane count.
-  void materializeAllViews();
-
-  /// Overrides the thread-count option. Threads only affects wall-clock
-  /// (solutions and counters are bit-identical for any value), so a
-  /// snapshot loader may freely retarget it to the serving machine.
-  void setThreads(unsigned Threads) { Options.Threads = Threads; }
-
   /// Overrides the closure-scheduling mode. Closes any deferred work
   /// first so no queued constraint is stranded by a Wave -> Worklist
   /// switch; the completed closure is the same under either mode, so
@@ -335,10 +325,10 @@ public:
                      Stats.ConstraintsProcessed != 0;
   }
 
-  /// Overrides the per-batch resource budgets (0 = unlimited each). Like
-  /// setThreads, budgets never change what a successful solve computes —
-  /// only whether an in-flight batch is aborted — so servers and recovery
-  /// paths may retarget them freely after loading a snapshot.
+  /// Overrides the per-batch resource budgets (0 = unlimited each).
+  /// Budgets never change what a successful solve computes — only whether
+  /// an in-flight batch is aborted — so servers and recovery paths may
+  /// retarget them freely after loading a snapshot.
   void setBudgets(uint64_t DeadlineMs, uint64_t MaxEdgeBudget,
                   uint64_t MaxMemBytes) {
     Options.DeadlineMs = DeadlineMs;
@@ -612,17 +602,6 @@ private:
   /// epoch of exactly the variables whose bits differ from the previous
   /// settle.
   void settleLeastSolutionsIF();
-  /// Wavefront evaluation of the same recurrence for an all-dirty settle
-  /// with more than one thread: Kahn levels over the collapsed (acyclic)
-  /// representative graph, then per-level parallel word-level unions —
-  /// each level's variables only read solutions completed by earlier
-  /// levels and only write their own bitmap. Produces bit-identical
-  /// LSBits, epochs and counters to the sequential all-dirty settle.
-  void computeLeastSolutionIFParallel(ThreadPool &Pool);
-  /// Builds every live representative's sorted solution view concurrently
-  /// (the per-variable work standard form leaves for query time; the
-  /// parallel finalize front-loads it for both forms).
-  void materializeAllSolutions(ThreadPool &Pool);
   void invalidateSolutions();
   /// Builds (or returns) the cached sorted-vector view of \p Rep's least
   /// solution bitmap.

@@ -179,15 +179,6 @@ struct SolverOptions {
   /// closure schedule: Offline shrinks the variable graph before the
   /// first closure, then either schedule closes the condensed system.
   PreprocessMode Preprocess = PreprocessMode::None;
-  /// Execution lanes for the least-solution post-pass (0 = one per
-  /// hardware thread). Purely a wall-clock knob: with any value the least
-  /// solutions and every paper-defined counter are bit-identical to the
-  /// sequential pass — the online closure itself always runs
-  /// single-threaded. Values > 1 evaluate the acyclic inductive-form
-  /// recurrence as a level-parallel wavefront and materialize solution
-  /// views concurrently (see docs/INTERNALS.md, "Parallel execution
-  /// layer").
-  unsigned Threads = 1;
 
   /// Returns the paper's name for this configuration, e.g. "IF-Online".
   std::string configName() const {

@@ -152,10 +152,8 @@ struct SolverStats {
   uint64_t distinctAdds() const { return Work - RedundantAdds - SelfEdges; }
 
   /// Accumulates \p RHS into this struct: every counter is summed and
-  /// Aborted is ORed. This is both the batch-suite aggregation and the
-  /// primitive the parallel least-solution pass uses to merge per-thread
-  /// deltas — all counters are sums, so the merged totals are independent
-  /// of how work was partitioned across threads.
+  /// Aborted is ORed. `anders --batch` totals its entries' counters with
+  /// it.
   SolverStats &operator+=(const SolverStats &RHS) {
     VarsCreated += RHS.VarsCreated;
     OracleSubstitutions += RHS.OracleSubstitutions;

@@ -22,9 +22,8 @@
 /// drops the wrapper (or an exotic T that over-aligns past a line) fails
 /// to compile instead of silently re-introducing the ping-pong.
 ///
-/// Used by the parallel least-solution pass (per-lane SolverStats deltas
-/// and epoch scratch) and the network serving layer (per-lane request
-/// counters and latency buckets).
+/// Used by the network serving layer's read lanes (per-lane request
+/// counters and latency buckets, net/LaneStats.h).
 ///
 //===----------------------------------------------------------------------===//
 

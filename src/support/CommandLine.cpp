@@ -50,8 +50,10 @@ bool CommandLine::applyValue(const Option &Opt, const std::string &Value) {
     *static_cast<std::string *>(Opt.Storage) = Value;
     return true;
   case OptionKind::Int: {
+    // Every integer option is a count, size, duration or seed, so a
+    // negative value is an error rather than a huge unsigned one.
     long long Parsed = std::strtoll(Value.c_str(), &End, 0);
-    if (!End || *End != '\0') {
+    if (!End || *End != '\0' || Parsed < 0) {
       std::fprintf(stderr, "%s: invalid integer '%s' for --%s\n",
                    ToolName.c_str(), Value.c_str(), Opt.Name.c_str());
       return false;

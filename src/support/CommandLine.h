@@ -34,7 +34,8 @@ public:
   void addString(const std::string &Name, std::string *Storage,
                  const std::string &Help);
 
-  /// Registers an integer option.
+  /// Registers a non-negative integer option; parse() rejects a negative
+  /// value as an invalid integer.
   void addInt(const std::string &Name, int64_t *Storage,
               const std::string &Help);
 

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool built for the solver's wave-structured
-/// parallelism: the caller submits one *wave* of independent chunks
-/// (a parallelFor), helps execute it, and blocks until every chunk has
-/// finished — a barrier the wavefront least-solution pass and the batch
-/// suite solver rely on for their happens-before edges.
+/// A fixed-size thread pool for wave-structured parallelism: the caller
+/// submits one *wave* of independent chunks (a parallelFor), helps execute
+/// it, and blocks until every chunk has finished. It has two users, and
+/// both rely on that barrier for their happens-before edges: batch solving
+/// (workload::solveSuite, one independent solver per entry) and the socket
+/// server's read lanes (net::NetServer, one wave of queries per loop
+/// iteration). The solver itself is single-threaded.
 ///
 /// Execution lanes: a pool with N lanes runs N-1 background workers plus
 /// the calling thread (lane 0), so `ThreadPool(1)` degenerates to an
@@ -17,10 +19,8 @@
 /// deque of chunks; a lane pops work from the back of its own deque and,
 /// when empty, steals from the front of another lane's — skewed waves
 /// rebalance without a central queue. Every chunk callback receives its
-/// lane index so callers can keep per-lane accumulators (e.g. SolverStats
-/// deltas) and merge them after the wave; since the chunk decomposition is
-/// deterministic and the merged quantities are sums, the merged totals are
-/// identical for any lane count and any steal schedule.
+/// lane index so callers can keep per-lane accumulators (e.g. the read
+/// lanes' net/LaneStats slots) and merge them after the wave.
 ///
 /// Exceptions thrown by chunk callbacks are captured (first one wins),
 /// the wave still runs to completion, and the exception is rethrown on
@@ -69,31 +69,6 @@ public:
   void parallelForChunks(size_t N,
                          const std::function<void(size_t, size_t, unsigned)> &Fn,
                          size_t Grain = 0);
-
-  /// Runs \p Fn(Item, Lane) over each level of \p Levels in order, with a
-  /// full barrier between levels: every callback of level k has completed
-  /// (and is visible to) every callback of level k+1 — the schedule the
-  /// acyclic least-solution recurrence needs.
-  template <typename T, typename Fn>
-  void parallelForLevels(const std::vector<std::vector<T>> &Levels, Fn F,
-                         size_t Grain = 0) {
-    for (const std::vector<T> &Level : Levels) {
-      // Degenerate levels are common in long dependency chains; run them
-      // inline on lane 0 without building the wave std::function or
-      // touching the barrier machinery. Identical semantics: a singleton
-      // level would execute inline on lane 0 anyway (N <= Grain), with
-      // exceptions propagating directly.
-      if (Level.empty())
-        continue;
-      if (Level.size() == 1) {
-        F(Level[0], 0);
-        continue;
-      }
-      parallelFor(
-          Level.size(),
-          [&](size_t I, unsigned Lane) { F(Level[I], Lane); }, Grain);
-    }
-  }
 
   /// Chunks executed by a lane other than the one they were assigned to —
   /// observability for the stealing tests; monotone over the pool's life.

@@ -77,12 +77,7 @@ poce::workload::solveSuite(const std::vector<ProgramSpec> &Specs,
                            const SolverOptions &Options, unsigned Threads,
                            bool ExtractPointsTo) {
   std::vector<BatchSolveResult> Results(Specs.size());
-  unsigned Lanes = ThreadPool::resolveThreads(Threads);
-  SolverOptions EntryOptions = Options;
-  if (Lanes > 1)
-    EntryOptions.Threads = 1; // Parallelism lives at the batch level.
-
-  ThreadPool Pool(Lanes);
+  ThreadPool Pool(Threads);
   Pool.parallelFor(
       Specs.size(),
       [&](size_t I, unsigned) {
@@ -100,13 +95,13 @@ poce::workload::solveSuite(const std::vector<ProgramSpec> &Specs,
         ConstructorTable Constructors;
         Oracle WitnessOracle;
         const Oracle *OraclePtr = nullptr;
-        if (EntryOptions.Elim == CycleElim::Oracle) {
+        if (Options.Elim == CycleElim::Oracle) {
           WitnessOracle = buildOracle(andersen::makeGenerator(Program->Unit),
-                                      Constructors, EntryOptions);
+                                      Constructors, Options);
           OraclePtr = &WitnessOracle;
         }
         Out.Result = andersen::runAnalysis(Program->Unit, Constructors,
-                                           EntryOptions, OraclePtr,
+                                           Options, OraclePtr,
                                            ExtractPointsTo);
         Out.Ok = true;
         Out.EntrySeconds = EntryTimer.seconds();

@@ -65,9 +65,8 @@ struct BatchSolveResult {
 /// hardware thread, 1 = sequential). Results are returned in input order
 /// and are bit-identical for any thread count: each entry owns its
 /// constructor table, terms, solver, and (for oracle configurations) its
-/// witness oracle, so entries share nothing. When \p Threads > 1 each
-/// entry's solve runs with SolverOptions::Threads = 1 — the batch level is
-/// where the hardware parallelism goes, not nested pools per solve.
+/// witness oracle, so entries share nothing. Each solve is itself
+/// sequential; the lanes are the only parallelism.
 std::vector<BatchSolveResult> solveSuite(const std::vector<ProgramSpec> &Specs,
                                          const SolverOptions &Options,
                                          unsigned Threads = 1,

@@ -9,8 +9,8 @@
 /// pointer-equivalence labeling plus Nuutila SCC substitution before the
 /// first closure) must leave every least solution bit-identical across
 /// the whole schedule matrix — graph form x elimination strategy x
-/// closure schedule x difference propagation x thread lanes — on both
-/// the examples/data corpus and random constraint systems. The offline
+/// closure schedule x difference propagation — on both the
+/// examples/data corpus and random constraint systems. The offline
 /// counters are pinned to goldens on the corpus, and the cycle variables
 /// caught offline plus online can never exceed the Oracle ground-truth
 /// bound.
@@ -144,41 +144,6 @@ TEST_P(PreprocessRandomTest, SolutionsBitIdenticalAcrossTheMatrix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreprocessRandomTest,
                          testing::Range<uint64_t>(1, 9));
-
-//===----------------------------------------------------------------------===//
-// Thread lanes
-//===----------------------------------------------------------------------===//
-
-TEST(PreprocessThreadsTest, LaneCountInvariantWithPreprocessing) {
-  PRNG Rng(77);
-  RandomConstraintShape Shape =
-      randomConstraintShape(300, 200, 2.0 / 300, Rng);
-  Signature Reference;
-  bool HaveReference = false;
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    for (PreprocessMode Pre :
-         {PreprocessMode::None, PreprocessMode::Offline}) {
-      ConstructorTable Constructors;
-      TermTable Terms(Constructors);
-      SolverOptions Options =
-          makeConfig(GraphForm::Inductive, CycleElim::Online);
-      Options.Threads = Threads;
-      Options.Preprocess = Pre;
-      ConstraintSolver Solver(Terms, Options);
-      workload::emitRandomConstraints(Shape, Solver);
-      Solver.finalize();
-      Signature Sig = lsSignature(Solver);
-      if (!HaveReference) {
-        Reference = std::move(Sig);
-        HaveReference = true;
-      } else {
-        EXPECT_EQ(Sig, Reference)
-            << Threads << " lanes, preprocess "
-            << (Pre == PreprocessMode::Offline ? "offline" : "none");
-      }
-    }
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Corpus: points-to results across the matrix

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Persistence tests for serve/GraphSnapshot: save→load round trips must be
-// bit-identical and answer-identical across SF/IF × None/Online × DiffProp
-// and across thread counts, loading must continue exactly like the
-// original solver (including the order RNG), and every malformed input —
-// truncations, byte flips, version skew, wrong magic — must fail with an
-// actionable error instead of crashing.
+// bit-identical and answer-identical across SF/IF × None/Online × DiffProp,
+// loading must continue exactly like the original solver (including the
+// order RNG), and every malformed input — truncations, byte flips, version
+// skew, wrong magic — must fail with an actionable error instead of
+// crashing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -282,7 +282,12 @@ TEST(SnapshotTest, LoadedSolverContinuesIdenticallyToOriginal) {
                    "post-load continuation");
 }
 
-TEST(SnapshotTest, ThreadCountOnLoadIsPurelyWallClock) {
+TEST(SnapshotTest, RetiredLaneSlotIsReadAndIgnored) {
+  // The options block keeps the u32 slot where older writers stored a
+  // least-solution lane count. The writer puts 1 there; the reader must
+  // accept any value (files saved with a lane count still load) and must
+  // not act on it, so a patched slot loads to the same solver and
+  // re-serializes to the unpatched bytes.
   PRNG Rng(0x7777);
   RandomConstraintShape Shape =
       randomConstraintShape(100, 60, 2.5 / 100, Rng);
@@ -293,34 +298,32 @@ TEST(SnapshotTest, ThreadCountOnLoadIsPurelyWallClock) {
 
   std::vector<uint8_t> Bytes;
   ASSERT_TRUE(GraphSnapshot::serialize(*Original.Solver, Bytes).ok());
+  // Five enum bytes, three u64s and two flag bytes precede the slot.
+  const size_t Slot = GraphSnapshot::HeaderSize + 5 + 3 * 8 + 2;
+  ASSERT_GT(Bytes.size(), Slot + 4);
+  EXPECT_EQ(std::vector<uint8_t>(Bytes.begin() + Slot,
+                                 Bytes.begin() + Slot + 4),
+            (std::vector<uint8_t>{1, 0, 0, 0}));
 
-  SolverBundle One, Eight;
-  ASSERT_TRUE(
-      GraphSnapshot::deserialize(Bytes.data(), Bytes.size(), One).ok());
-  ASSERT_TRUE(
-      GraphSnapshot::deserialize(Bytes.data(), Bytes.size(), Eight).ok());
-  One.Solver->setThreads(1);
-  Eight.Solver->setThreads(8);
-  One.Solver->materializeAllViews();
-  Eight.Solver->materializeAllViews();
+  for (uint32_t Lanes : {8u, 0xFFFFFFFFu}) {
+    std::vector<uint8_t> Patched = Bytes;
+    for (int Shift = 0; Shift != 32; Shift += 8)
+      Patched[Slot + static_cast<size_t>(Shift / 8)] =
+          static_cast<uint8_t>(Lanes >> Shift);
+    uint64_t Sum = fnv1a64(Patched.data() + GraphSnapshot::HeaderSize,
+                           Patched.size() - GraphSnapshot::HeaderSize);
+    for (int Shift = 0; Shift != 64; Shift += 8)
+      Patched[12 + static_cast<size_t>(Shift / 8)] =
+          static_cast<uint8_t>(Sum >> Shift);
+    ASSERT_NE(Patched, Bytes);
 
-  for (VarId Var = 0; Var != One.Solver->numVars(); ++Var)
-    if (One.Solver->isLive(Var))
-      EXPECT_EQ(One.Solver->leastSolution(Var),
-                Eight.Solver->leastSolution(Var))
-          << "var " << Var;
-  EXPECT_EQ(One.Solver->dumpGraph(), Eight.Solver->dumpGraph());
-  expectStatsEqual(One.Solver->stats(), Eight.Solver->stats(),
-                   "threads 1 vs 8");
-
-  // With the thread knob normalized the two loads re-serialize to the
-  // same bytes (Threads is part of the options block, nothing else may
-  // differ).
-  Eight.Solver->setThreads(1);
-  std::vector<uint8_t> FromOne, FromEight;
-  ASSERT_TRUE(GraphSnapshot::serialize(*One.Solver, FromOne).ok());
-  ASSERT_TRUE(GraphSnapshot::serialize(*Eight.Solver, FromEight).ok());
-  EXPECT_EQ(FromOne, FromEight);
+    SolverBundle Bundle;
+    Status Loaded =
+        GraphSnapshot::deserialize(Patched.data(), Patched.size(), Bundle);
+    ASSERT_TRUE(Loaded.ok()) << "lane slot " << Lanes << ": " << Loaded;
+    expectEquivalent(*Original.Solver, *Bundle.Solver, Bytes,
+                     "lane slot " + std::to_string(Lanes));
+  }
 }
 
 TEST(SnapshotTest, RejectsOracleAndAbortedSolvers) {

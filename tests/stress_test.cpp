@@ -397,16 +397,18 @@ class RetractInterleaveStressTest : public testing::TestWithParam<unsigned> {
 };
 
 TEST_P(RetractInterleaveStressTest, CorpusAndRandomSystems) {
-  unsigned Threads = GetParam();
+  unsigned SeedIndex = GetParam();
   for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
     SolverOptions Options = makeConfig(Form, CycleElim::Online);
     Options.Closure = ClosureMode::Wave;
-    Options.Threads = Threads;
-    runInterleaving(Options, swapCorpus(), /*Seed=*/Threads * 11u + 1);
-    runInterleaving(Options, randomCorpus(Threads + 1),
-                    /*Seed=*/Threads * 13u + 5);
+    runInterleaving(Options, swapCorpus(), /*Seed=*/SeedIndex * 11u + 1);
+    runInterleaving(Options, randomCorpus(SeedIndex + 1),
+                    /*Seed=*/SeedIndex * 13u + 5);
   }
 }
 
+// The seed indices 1, 2, 8 and the "Threads" label date from when the
+// parameter was also a least-solution lane count; they are kept so the
+// derived seeds and the test names stay the same.
 INSTANTIATE_TEST_SUITE_P(Threads, RetractInterleaveStressTest,
                          testing::Values(1u, 2u, 8u));

@@ -446,6 +446,11 @@ TEST(CommandLineTest, RejectsUnknownOptionAndBadValues) {
   Cmd2.addInt("int", &Int, "an int");
   const char *Bad[] = {"tool", "--int=xyz"};
   EXPECT_FALSE(Cmd2.parse(2, Bad));
+  CommandLine Cmd3("tool", "overview");
+  Cmd3.addInt("int", &Int, "an int");
+  const char *Negative[] = {"tool", "--int=-1"};
+  EXPECT_FALSE(Cmd3.parse(2, Negative));
+  EXPECT_EQ(Int, 0);
 }
 
 //===----------------------------------------------------------------------===//

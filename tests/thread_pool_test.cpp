@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the work-stealing thread pool that drives the parallel
-/// least-solution pass and batch solving: complete coverage of the index
-/// space, stealing under skewed per-lane loads, exception propagation,
-/// pool reuse across many waves, and the parallelForLevels barrier.
+/// Tests of the work-stealing thread pool that drives batch solving and
+/// the socket server's read lanes: complete coverage of the index space,
+/// stealing under skewed per-lane loads, exception propagation, and pool
+/// reuse across many waves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +16,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -128,71 +125,6 @@ TEST(ThreadPoolTest, ReuseAcrossManyWaves) {
   }
   for (size_t I = 0; I != N; ++I)
     EXPECT_EQ(Sums[I].load(), 100 * (I + 1));
-}
-
-TEST(ThreadPoolTest, LevelsRunWithBarrierBetween) {
-  // Every item of level L checks that ALL of level L-1 finished first —
-  // the property the wavefront least-solution pass depends on.
-  ThreadPool Pool(4);
-  std::vector<std::vector<int>> Levels = {
-      std::vector<int>(40, 0), std::vector<int>(1, 1),
-      std::vector<int>(17, 2), std::vector<int>(33, 3)};
-  std::vector<std::atomic<size_t>> DonePerLevel(Levels.size());
-  std::atomic<bool> OrderViolated{false};
-  Pool.parallelForLevels(
-      Levels,
-      [&](int Level, unsigned) {
-        if (Level > 0 &&
-            DonePerLevel[Level - 1].load(std::memory_order_acquire) !=
-                Levels[Level - 1].size())
-          OrderViolated.store(true, std::memory_order_relaxed);
-        DonePerLevel[Level].fetch_add(1, std::memory_order_release);
-      },
-      /*Grain=*/1);
-  EXPECT_FALSE(OrderViolated.load());
-  for (size_t L = 0; L != Levels.size(); ++L)
-    EXPECT_EQ(DonePerLevel[L].load(), Levels[L].size());
-}
-
-TEST(ThreadPoolTest, DegenerateLevelsRunInlineOnCaller) {
-  // Long dependency chains produce many empty and size-1 levels; those
-  // must run inline on the calling thread as lane 0 (no wave dispatch),
-  // interleaved correctly with full levels, and their exceptions must
-  // propagate directly.
-  ThreadPool Pool(4);
-  std::vector<std::vector<int>> Levels = {
-      std::vector<int>(1, 0), {},         std::vector<int>(1, 2),
-      std::vector<int>(25, 3), {},        std::vector<int>(1, 5)};
-  const std::thread::id Caller = std::this_thread::get_id();
-  std::vector<int> Visited;
-  std::mutex VisitedMutex;
-  bool SingletonOffCaller = false;
-  Pool.parallelForLevels(
-      Levels,
-      [&](int Level, unsigned Lane) {
-        if (Levels[Level].size() == 1) {
-          if (Lane != 0 || std::this_thread::get_id() != Caller)
-            SingletonOffCaller = true;
-        }
-        std::lock_guard<std::mutex> Lock(VisitedMutex);
-        Visited.push_back(Level);
-      },
-      /*Grain=*/1);
-  EXPECT_FALSE(SingletonOffCaller);
-  ASSERT_EQ(Visited.size(), 28u);
-  // Level order is preserved across the mix of inline and dispatched
-  // levels (the barrier property restricted to this schedule).
-  EXPECT_TRUE(std::is_sorted(Visited.begin(), Visited.end()));
-
-  EXPECT_THROW(
-      Pool.parallelForLevels(
-          std::vector<std::vector<int>>{std::vector<int>(1, 7)},
-          [&](int, unsigned) { throw std::runtime_error("singleton"); }),
-      std::runtime_error);
-  // The pool survives an inline throw and still runs full waves.
-  std::atomic<int> Hits{0};
-  Pool.parallelFor(16, [&](size_t, unsigned) { Hits.fetch_add(1); });
-  EXPECT_EQ(Hits.load(), 16);
 }
 
 TEST(ThreadPoolTest, EmptyAndTinyRanges) {

@@ -306,8 +306,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, WaveCounterGoldenTest,
                          });
 
 //===----------------------------------------------------------------------===//
-// Random systems: solutions and final graphs agree, all configs, all
-// thread counts
+// Random systems: solutions and final graphs agree, all configs
 //===----------------------------------------------------------------------===//
 
 struct RandomWaveCase {
@@ -343,20 +342,15 @@ TEST_P(RandomWaveTest, WaveMatchesWorklistOnRandomSystems) {
     Signature Expected = lsSignature(Reference);
     uint64_t ExpectedEdges = Reference.countFinalEdges();
 
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      SolverOptions WaveOpts = Config;
-      WaveOpts.Closure = ClosureMode::Wave;
-      WaveOpts.Threads = Threads;
-      TermTable TermsB(Constructors);
-      ConstraintSolver Wave(TermsB, WaveOpts, WO);
-      workload::emitRandomConstraints(Shape, Wave);
-      Wave.finalize();
+    SolverOptions WaveOpts = Config;
+    WaveOpts.Closure = ClosureMode::Wave;
+    TermTable TermsB(Constructors);
+    ConstraintSolver Wave(TermsB, WaveOpts, WO);
+    workload::emitRandomConstraints(Shape, Wave);
+    Wave.finalize();
 
-      EXPECT_EQ(lsSignature(Wave), Expected)
-          << Config.configName() << " threads=" << Threads;
-      EXPECT_EQ(Wave.countFinalEdges(), ExpectedEdges)
-          << Config.configName() << " threads=" << Threads;
-    }
+    EXPECT_EQ(lsSignature(Wave), Expected) << Config.configName();
+    EXPECT_EQ(Wave.countFinalEdges(), ExpectedEdges) << Config.configName();
   }
 }
 
